@@ -118,7 +118,9 @@ void Communicator::handle(net::NodeId /*src*/, util::Reader& r) {
       const std::int32_t subjob = r.i32();
       const std::uint64_t n = r.varint();
       std::vector<net::NodeId> nodes;
-      nodes.reserve(n);
+      // A node id is 4 bytes on the wire: a hostile count reserves no
+      // more than the frame could hold.
+      nodes.reserve(std::min<std::uint64_t>(n, r.remaining() / 4));
       for (std::uint64_t i = 0; i < n && r.ok(); ++i) nodes.push_back(r.u32());
       if (r.ok()) on_leader_table(subjob, nodes);
       return;
@@ -126,7 +128,7 @@ void Communicator::handle(net::NodeId /*src*/, util::Reader& r) {
     case kFullTable: {
       const std::uint64_t n = r.varint();
       std::vector<net::NodeId> table;
-      table.reserve(n);
+      table.reserve(std::min<std::uint64_t>(n, r.remaining() / 4));
       for (std::uint64_t i = 0; i < n && r.ok(); ++i) table.push_back(r.u32());
       if (r.ok()) adopt_table(std::move(table));
       return;

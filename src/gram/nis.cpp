@@ -1,5 +1,7 @@
 #include "gram/nis.hpp"
 
+#include <algorithm>
+
 namespace grid::gram {
 
 NisServer::NisServer(net::Network& network, sim::Time service_time)
@@ -67,7 +69,10 @@ void NisClient::initgroups(const std::string& user, sim::Time timeout,
                     }
                     const std::uint64_t n = reply.varint();
                     std::vector<std::string> groups;
-                    groups.reserve(n);
+                    // Each name takes at least its length byte: a hostile
+                    // count reserves no more than the reply could hold.
+                    groups.reserve(
+                        std::min<std::uint64_t>(n, reply.remaining()));
                     for (std::uint64_t i = 0; i < n && reply.ok(); ++i) {
                       groups.push_back(reply.str());
                     }

@@ -7,30 +7,67 @@ namespace grid::info {
 
 namespace {
 
-/// Shared tail of every summary-based selection: filter too-small and
-/// unreachable candidates, rank by predicted wait (stable, so the caller's
-/// candidate order breaks ties), keep the best k.
-void rank_summaries(const std::vector<std::string>& names,
-                    std::vector<util::Result<sched::QueueSummary>> summaries,
-                    std::size_t k, std::int32_t count,
-                    const sched::WaitPredictor& predictor,
-                    const ResourceBroker::SelectFn& on_done) {
-  std::vector<ResourceBroker::Placement> usable;
-  for (std::size_t i = 0; i < summaries.size(); ++i) {
-    if (!summaries[i].is_ok()) continue;  // unreachable or unknown
-    const sched::QueueSummary& s = summaries[i].value();
-    if (s.total_processors < count) continue;  // machine too small
-    ResourceBroker::Placement p;
-    p.contact = names[i];
-    p.predicted_wait = predictor.predict(s, count);
-    p.free_processors = s.free_processors();
-    usable.push_back(std::move(p));
+using Summaries = std::vector<util::Result<sched::QueueSummary>>;
+
+/// One directory's summaries of `candidates`; with `full` set they are
+/// fetched as full snapshots and summarized, since ranking reads no more.
+void fetch_summaries(GisClient& client, std::vector<std::string> candidates,
+                     bool full, sim::Time timeout,
+                     GisClient::SummariesFn on_done) {
+  if (!full) {
+    client.query_many_summaries(std::move(candidates), timeout,
+                                std::move(on_done));
+    return;
   }
-  if (usable.size() < k) {
-    on_done(util::Status(
+  client.query_many(
+      std::move(candidates), timeout,
+      [on_done = std::move(on_done)](
+          std::vector<util::Result<sched::QueueSnapshot>> snaps) {
+        Summaries summaries;
+        summaries.reserve(snaps.size());
+        for (const auto& snap : snaps) {
+          if (snap.is_ok()) {
+            summaries.emplace_back(sched::summarize(snap.value()));
+          } else {
+            summaries.emplace_back(snap.status());
+          }
+        }
+        on_done(std::move(summaries));
+      });
+}
+
+/// One selection in flight: the candidate groups and each group's replies.
+struct Gather {
+  std::vector<ResourceBroker::FederatedGroup> groups;
+  std::vector<Summaries> replies;
+  std::size_t outstanding;
+  std::size_t k;
+  std::int32_t count;
+  const sched::WaitPredictor* predictor;
+  ResourceBroker::SelectFn on_done;
+};
+
+/// The ranking: skip unreachable and too-small machines, sort by predicted
+/// wait (stable, so candidate order breaks ties), keep the best k.
+void rank(Gather& g) {
+  std::vector<ResourceBroker::Placement> usable;
+  for (std::size_t i = 0; i < g.groups.size(); ++i) {
+    for (std::size_t j = 0; j < g.groups[i].candidates.size(); ++j) {
+      if (!g.replies[i][j].is_ok()) continue;  // unreachable or unknown
+      const sched::QueueSummary& s = g.replies[i][j].value();
+      if (s.total_processors < g.count) continue;  // machine too small
+      ResourceBroker::Placement p;
+      p.contact = std::move(g.groups[i].candidates[j]);
+      p.predicted_wait = g.predictor->predict(s, g.count);
+      p.free_processors = s.free_processors();
+      usable.push_back(std::move(p));
+    }
+  }
+  if (usable.size() < g.k) {
+    g.on_done(util::Status(
         util::ErrorCode::kResourceExhausted,
         "only " + std::to_string(usable.size()) + " of " +
-            std::to_string(k) + " required candidates are usable"));
+            std::to_string(g.k) + " required candidates are usable"));
     return;
   }
   std::stable_sort(usable.begin(), usable.end(),
@@ -38,8 +75,38 @@ void rank_summaries(const std::vector<std::string>& names,
                       const ResourceBroker::Placement& b) {
                      return a.predicted_wait < b.predicted_wait;
                    });
-  usable.resize(k);
-  on_done(std::move(usable));
+  usable.resize(g.k);
+  g.on_done(std::move(usable));
+}
+
+/// The one selection path: one fan-out per non-empty group, all in flight
+/// concurrently; the last reply to land ranks the candidates in group
+/// order, so group boundaries never affect the result.
+void select_groups(std::vector<ResourceBroker::FederatedGroup> groups,
+                   bool full, std::size_t k, std::int32_t count,
+                   sim::Time timeout, const sched::WaitPredictor& predictor,
+                   ResourceBroker::SelectFn on_done) {
+  const auto fan_outs = static_cast<std::size_t>(
+      std::count_if(groups.begin(), groups.end(),
+                    [](const auto& g) { return !g.candidates.empty(); }));
+  if (k == 0 || fan_outs == 0) {
+    on_done(util::Status(util::ErrorCode::kInvalidArgument,
+                         "no candidates or zero selection size"));
+    return;
+  }
+  const std::size_t n = groups.size();
+  auto gather = std::make_shared<Gather>(
+      Gather{std::move(groups), std::vector<Summaries>(n), fan_outs, k, count,
+             &predictor, std::move(on_done)});
+  for (std::size_t i = 0; i < n; ++i) {
+    const ResourceBroker::FederatedGroup& g = gather->groups[i];
+    if (g.candidates.empty()) continue;
+    fetch_summaries(*g.client, g.candidates, full, timeout,
+                    [gather, i](Summaries replies) {
+                      gather->replies[i] = std::move(replies);
+                      if (--gather->outstanding == 0) rank(*gather);
+                    });
+  }
 }
 
 }  // namespace
@@ -47,61 +114,19 @@ void rank_summaries(const std::vector<std::string>& names,
 void ResourceBroker::select(std::vector<std::string> candidates,
                             std::size_t k, std::int32_t count,
                             sim::Time timeout, SelectFn on_done) {
-  if (k == 0 || candidates.empty()) {
-    on_done(util::Status(util::ErrorCode::kInvalidArgument,
-                         "no candidates or zero selection size"));
-    return;
-  }
-  auto names = candidates;  // keep order for result mapping
-  client_->query_many(
-      std::move(candidates), timeout,
-      [this, names = std::move(names), k, count,
-       on_done = std::move(on_done)](
-          std::vector<util::Result<sched::QueueSnapshot>> snaps) {
-        std::vector<Placement> usable;
-        for (std::size_t i = 0; i < snaps.size(); ++i) {
-          if (!snaps[i].is_ok()) continue;  // unreachable or unknown
-          const sched::QueueSnapshot& snap = snaps[i].value();
-          if (snap.total_processors < count) continue;  // machine too small
-          Placement p;
-          p.contact = names[i];
-          p.predicted_wait = predictor_->predict(snap, count);
-          p.free_processors = snap.total_processors - snap.busy_processors;
-          usable.push_back(std::move(p));
-        }
-        if (usable.size() < k) {
-          on_done(util::Status(
-              util::ErrorCode::kResourceExhausted,
-              "only " + std::to_string(usable.size()) + " of " +
-                  std::to_string(k) + " required candidates are usable"));
-          return;
-        }
-        std::stable_sort(usable.begin(), usable.end(),
-                         [](const Placement& a, const Placement& b) {
-                           return a.predicted_wait < b.predicted_wait;
-                         });
-        usable.resize(k);
-        on_done(std::move(usable));
-      });
+  std::vector<FederatedGroup> groups(1);
+  groups[0] = {client_, std::move(candidates)};
+  select_groups(std::move(groups), true, k, count, timeout, *predictor_,
+                std::move(on_done));
 }
 
 void ResourceBroker::select_by_summary(std::vector<std::string> candidates,
                                        std::size_t k, std::int32_t count,
                                        sim::Time timeout, SelectFn on_done) {
-  if (k == 0 || candidates.empty()) {
-    on_done(util::Status(util::ErrorCode::kInvalidArgument,
-                         "no candidates or zero selection size"));
-    return;
-  }
-  auto names = candidates;  // keep order for result mapping
-  client_->query_many_summaries(
-      std::move(candidates), timeout,
-      [this, names = std::move(names), k, count,
-       on_done = std::move(on_done)](
-          std::vector<util::Result<sched::QueueSummary>> summaries) {
-        rank_summaries(names, std::move(summaries), k, count, *predictor_,
-                       on_done);
-      });
+  std::vector<FederatedGroup> groups(1);
+  groups[0] = {client_, std::move(candidates)};
+  select_groups(std::move(groups), false, k, count, timeout, *predictor_,
+                std::move(on_done));
 }
 
 void ResourceBroker::select_federated(std::vector<FederatedGroup> groups,
@@ -109,56 +134,8 @@ void ResourceBroker::select_federated(std::vector<FederatedGroup> groups,
                                       sim::Time timeout,
                                       const sched::WaitPredictor& predictor,
                                       SelectFn on_done) {
-  std::size_t total = 0;
-  for (const FederatedGroup& g : groups) total += g.candidates.size();
-  if (k == 0 || total == 0) {
-    on_done(util::Status(util::ErrorCode::kInvalidArgument,
-                         "no candidates or zero selection size"));
-    return;
-  }
-  // One outstanding fan-out per non-empty group; the last reply to land
-  // joins everything in group order and runs the shared ranking, so the
-  // result is the same as one directory answering for the whole set.
-  struct Gather {
-    std::vector<std::vector<std::string>> names;
-    std::vector<std::vector<util::Result<sched::QueueSummary>>> replies;
-    std::size_t outstanding = 0;
-    std::size_t k = 0;
-    std::int32_t count = 0;
-    const sched::WaitPredictor* predictor = nullptr;
-    SelectFn on_done;
-  };
-  auto gather = std::make_shared<Gather>();
-  gather->names.resize(groups.size());
-  gather->replies.resize(groups.size());
-  gather->k = k;
-  gather->count = count;
-  gather->predictor = &predictor;
-  gather->on_done = std::move(on_done);
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    if (groups[i].candidates.empty()) continue;
-    gather->names[i] = groups[i].candidates;
-    ++gather->outstanding;
-  }
-  for (std::size_t i = 0; i < groups.size(); ++i) {
-    if (groups[i].candidates.empty()) continue;
-    groups[i].client->query_many_summaries(
-        std::move(groups[i].candidates), timeout,
-        [gather, i](std::vector<util::Result<sched::QueueSummary>> replies) {
-          gather->replies[i] = std::move(replies);
-          if (--gather->outstanding > 0) return;
-          std::vector<std::string> names;
-          std::vector<util::Result<sched::QueueSummary>> summaries;
-          for (std::size_t g = 0; g < gather->names.size(); ++g) {
-            for (std::size_t j = 0; j < gather->names[g].size(); ++j) {
-              names.push_back(std::move(gather->names[g][j]));
-              summaries.push_back(std::move(gather->replies[g][j]));
-            }
-          }
-          rank_summaries(names, std::move(summaries), gather->k,
-                         gather->count, *gather->predictor, gather->on_done);
-        });
-  }
+  select_groups(std::move(groups), false, k, count, timeout, predictor,
+                std::move(on_done));
 }
 
 std::vector<rsl::JobRequest> ResourceBroker::build_requests(

@@ -2,10 +2,11 @@
 //
 // "applications (or resource brokers acting on their behalf) that require
 // collections of resources" — the broker is the agent-side consumer of the
-// information service: it queries published queue snapshots for a set of
+// information service: it reads the published queue summaries of a set of
 // candidate resources, ranks them with a wait-time predictor, and builds
 // the subjob requests for the best candidates, which the caller then feeds
-// to a co-allocator.  §2.2's over-allocation strategy ("attempt to
+// to a co-allocator.  All entry points share one fan-out, join and
+// ranking.  §2.2's over-allocation strategy ("attempt to
 // allocate more resources than it really needs") is supported by selecting
 // more placements than required and marking the surplus interactive.
 #pragma once
@@ -36,16 +37,17 @@ class ResourceBroker {
       std::function<void(util::Result<std::vector<Placement>>)>;
 
   /// Ranks `candidates` for a subjob of `count` processors and returns the
-  /// best `k` (ascending predicted wait).  Candidates whose machine is too
-  /// small, or whose snapshot cannot be fetched, are skipped; fewer than
-  /// `k` usable candidates is an error.
+  /// best `k` (ascending predicted wait; candidate order breaks ties).
+  /// Candidates whose machine is too small, or whose state cannot be
+  /// fetched, are skipped; fewer than `k` usable candidates is an error.
+  /// Fetches full snapshots (replies grow with queue depth) and ranks
+  /// their summaries.
   void select(std::vector<std::string> candidates, std::size_t k,
               std::int32_t count, sim::Time timeout, SelectFn on_done);
 
-  /// Same ranking via aggregate-only summary queries: replies are O(1)
-  /// regardless of queue depth, and both stock predictors produce results
-  /// identical to select().  This is the path sustained co-allocation
-  /// traffic uses at scale.
+  /// Same ranking from summary queries: replies are O(1) regardless of
+  /// queue depth, and the placements are identical to select()'s.  This is
+  /// the path sustained co-allocation traffic uses at scale.
   void select_by_summary(std::vector<std::string> candidates, std::size_t k,
                          std::int32_t count, sim::Time timeout,
                          SelectFn on_done);
@@ -58,10 +60,10 @@ class ResourceBroker {
 
   /// Federated selection across several directories — a sharded grid runs
   /// one GIS per shard, and a transaction's candidate set spans shards.
-  /// Queries every group's directory for its own candidates (all fan-outs
-  /// in flight concurrently), joins the replies in group order, and ranks
-  /// exactly like select_by_summary; group boundaries never affect the
-  /// ranking, only which server answers for which contact.
+  /// Queries every group's directory for its own candidates' summaries
+  /// (all fan-outs in flight concurrently), joins the replies in group
+  /// order, and ranks exactly like select_by_summary; group boundaries
+  /// never affect the ranking, only which server answers for which contact.
   static void select_federated(std::vector<FederatedGroup> groups,
                                std::size_t k, std::int32_t count,
                                sim::Time timeout,

@@ -2,21 +2,19 @@
 // resource management architecture [6]).
 //
 // LoadInformationService (sched/infoservice.hpp) models publication and
-// staleness locally; GisServer exports those published snapshots over the
+// staleness locally; GisServer exports the published state over the
 // simulated network so that remote co-allocation agents and brokers pay
 // realistic query latency, and GisClient is their access library.
-// Queries return the *published* (possibly stale) snapshot, never a live
+// Queries return the *published* (possibly stale) state, never a live
 // view — exactly the §2.2 information model.
 //
-// Two server-side properties keep the query path off the O(queue-depth)
-// cliff at scale:
-//   - summary-first: kMethodQuerySummary serves the aggregate-only
-//     QueueSummary (fixed-size reply), which is all the broker/predictor
-//     stack needs; the full queued-job list stays available on demand via
-//     kMethodQuery;
-//   - reply caching: full-snapshot replies are encoded once per published
-//     version and fanned out as ref-counted payload shares, so repeated
-//     queries between publish rounds skip re-serializing the queue.
+// One query path, two reply shapes.  Ranking reads the aggregate
+// QueueSummary (kMethodQuerySummary, fixed-size reply); the full queued-job
+// list (kMethodQuery) is a payload for callers that want per-job detail.
+// Both methods share the server's parse/resolve/defer step and the
+// client's decode-and-gather fan-out.  Full-snapshot replies are encoded
+// once per published version and fanned out as ref-counted payload shares,
+// so repeated queries between publish rounds skip re-serializing the queue.
 #pragma once
 
 #include <functional>
@@ -68,14 +66,19 @@ class GisServer {
     sim::Payload frame;
   };
 
+  using ContactId = sched::LoadInformationService::ContactId;
+  /// Builds the reply for a resolved query, or the error to answer with.
+  using ServeFn = util::Result<sim::Payload> (GisServer::*)(ContactId id);
+
+  /// Parses and resolves the queried contact, then defers `serve`.
   void handle_query(net::NodeId caller, std::uint64_t call_id,
-                    util::Reader& args);
-  void handle_query_summary(net::NodeId caller, std::uint64_t call_id,
-                            util::Reader& args);
-  void handle_list(net::NodeId caller, std::uint64_t call_id,
-                   util::Reader& args);
-  void serve_query(net::NodeId caller, std::uint64_t call_id,
-                   sched::LoadInformationService::ContactId id);
+                    util::Reader& args, ServeFn serve);
+  /// Answers with `serve(id)` after the directory lookup cost.
+  void defer(net::NodeId caller, std::uint64_t call_id, ContactId id,
+             ServeFn serve);
+  util::Result<sim::Payload> serve_snapshot(ContactId id);
+  util::Result<sim::Payload> serve_summary(ContactId id);
+  util::Result<sim::Payload> serve_list(ContactId);
 
   net::Endpoint endpoint_;
   sched::LoadInformationService* service_;
@@ -96,12 +99,17 @@ class GisClient {
   using SummaryFn = std::function<void(util::Result<sched::QueueSummary>)>;
   using ContactsFn =
       std::function<void(util::Result<std::vector<std::string>>)>;
+  using SnapshotsFn =
+      std::function<void(std::vector<util::Result<sched::QueueSnapshot>>)>;
+  using SummariesFn =
+      std::function<void(std::vector<util::Result<sched::QueueSummary>>)>;
 
-  /// Fetches the published snapshot for one resource.
+  /// Fetches the published full snapshot for one resource (per-job detail).
   void query(const std::string& contact, sim::Time timeout,
              SnapshotFn on_done);
 
-  /// Fetches the aggregate summary for one resource (fixed-size reply).
+  /// Fetches the aggregate summary for one resource (fixed-size reply) —
+  /// the view ranking reads.
   void query_summary(const std::string& contact, sim::Time timeout,
                      SummaryFn on_done);
 
@@ -111,16 +119,11 @@ class GisClient {
   /// Fetches snapshots for several resources; `on_done` fires once with
   /// one result per contact (same order).  Queries run concurrently.
   void query_many(std::vector<std::string> contacts, sim::Time timeout,
-                  std::function<void(
-                      std::vector<util::Result<sched::QueueSnapshot>>)>
-                      on_done);
+                  SnapshotsFn on_done);
 
-  /// Summary-first fan-out: like query_many, but each reply is the O(1)
-  /// aggregate view.  This is the broker's default at scale.
-  void query_many_summaries(
-      std::vector<std::string> contacts, sim::Time timeout,
-      std::function<void(std::vector<util::Result<sched::QueueSummary>>)>
-          on_done);
+  /// Like query_many, but each reply is the O(1) aggregate view.
+  void query_many_summaries(std::vector<std::string> contacts,
+                            sim::Time timeout, SummariesFn on_done);
 
  private:
   net::Endpoint* endpoint_;

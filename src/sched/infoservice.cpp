@@ -93,76 +93,53 @@ LoadInformationService::ContactId LoadInformationService::resolve(
   return it == intern_.end() ? 0 : it->second;
 }
 
-LoadInformationService::Entry* LoadInformationService::entry(ContactId id) {
-  if (id == 0 || id > entries_.size()) return nullptr;
-  return &entries_[id - 1];
-}
-
-const LoadInformationService::Entry* LoadInformationService::entry(
-    ContactId id) const {
-  if (id == 0 || id > entries_.size()) return nullptr;
-  return &entries_[id - 1];
-}
-
-util::Result<LoadInformationService::SnapshotRef>
-LoadInformationService::snapshot_ref(ContactId id) const {
-  ++stats_.queries;
-  const Entry* e = entry(id);
-  if (e == nullptr || !e->registered) {
-    ++stats_.misses;
+util::Result<const LoadInformationService::Entry*>
+LoadInformationService::lookup(ContactId id) const {
+  if (id == 0 || id > entries_.size() || !entries_[id - 1].registered) {
     return util::small_status(util::ErrorCode::kNotFound, "unknown contact");
   }
-  if (interval_ <= 0 && e->sched != nullptr) {
-    // Perfect-information mode: a live snapshot built per query.
-    return std::make_shared<const QueueSnapshot>(e->sched->snapshot());
-  }
-  if (!e->published) {
-    ++stats_.misses;
+  // A registered scheduler is published at registration, so in perfect-
+  // information mode this only rejects entries without one.
+  if (!entries_[id - 1].published) {
     return util::small_status(util::ErrorCode::kNotFound, "unpublished");
   }
-  return e->snap;
+  return &entries_[id - 1];
+}
+
+util::Result<const LoadInformationService::Entry*>
+LoadInformationService::counted_lookup(ContactId id) const {
+  ++stats_.queries;
+  auto e = lookup(id);
+  if (!e.is_ok()) ++stats_.misses;
+  return e;
 }
 
 util::Result<QueueSummary> LoadInformationService::summary(
     ContactId id) const {
-  ++stats_.queries;
-  const Entry* e = entry(id);
-  if (e == nullptr || !e->registered) {
-    ++stats_.misses;
-    return util::small_status(util::ErrorCode::kNotFound, "unknown contact");
+  auto e = counted_lookup(id);
+  if (!e.is_ok()) return e.status();
+  return interval_ <= 0 ? e.value()->sched->summary() : e.value()->summary;
+}
+
+util::Result<LoadInformationService::SnapshotRef>
+LoadInformationService::snapshot_ref(ContactId id) const {
+  auto e = counted_lookup(id);
+  if (!e.is_ok()) return e.status();
+  if (interval_ <= 0) {
+    return std::make_shared<const QueueSnapshot>(e.value()->sched->snapshot());
   }
-  if (interval_ <= 0 && e->sched != nullptr) {
-    return e->sched->summary();  // perfect information mode
-  }
-  if (!e->published) {
-    ++stats_.misses;
-    return util::small_status(util::ErrorCode::kNotFound, "unpublished");
-  }
-  return e->summary;
+  return e.value()->snap;
 }
 
 std::uint64_t LoadInformationService::published_version(ContactId id) const {
-  if (interval_ <= 0) return 0;  // live views: never cacheable
-  const Entry* e = entry(id);
-  if (e == nullptr || !e->registered || !e->published) return 0;
-  return e->published_version;
+  auto e = lookup(id);
+  return e.is_ok() && interval_ > 0 ? e.value()->published_version : 0;
 }
 
 sim::Time LoadInformationService::staleness(ContactId id) const {
-  const Entry* e = entry(id);
-  if (e == nullptr || !e->registered || !e->published) return sim::kTimeNever;
-  return engine_->now() - e->published_at;
-}
-
-util::Result<QueueSnapshot> LoadInformationService::query(
-    const std::string& contact) const {
-  auto ref = snapshot_ref(resolve(contact));
-  if (!ref.is_ok()) return ref.status();
-  return *ref.value();
-}
-
-sim::Time LoadInformationService::staleness(const std::string& contact) const {
-  return staleness(resolve(contact));
+  auto e = lookup(id);
+  if (!e.is_ok()) return sim::kTimeNever;
+  return interval_ <= 0 ? 0 : engine_->now() - e.value()->published_at;
 }
 
 }  // namespace grid::sched

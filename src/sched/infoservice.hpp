@@ -1,24 +1,24 @@
-// Grid information service: published queue-state snapshots.
+// Grid information service: published queue state.
 //
 // Models the paper §2.2 option of resource managers "publish[ing]
 // information about the current queue contents and scheduling policy".
-// Snapshots are refreshed on a fixed interval, so queries observe stale
+// State is refreshed on a fixed interval, so queries observe stale
 // data — the staleness that reference [14]'s simulation study identifies
 // as the limit on forecast-guided co-allocation (see bench/ablate_forecast).
+//
+// One publication, two views of it.  Ranking (predictors, brokers) reads
+// the aggregate `QueueSummary`: O(1) data regardless of queue depth.  The
+// full `QueueSnapshot` is a payload for per-job detail, shared as an
+// immutable `shared_ptr<const QueueSnapshot>`, never deep-copied.  Every
+// query goes through one lookup.
 //
 // Scale architecture (O(1k) resources, 100k-deep queues):
 //   - contacts are interned to dense ContactIds once at registration, so
 //     the per-query path never hashes a string or allocates an error
 //     message;
-//   - published snapshots are shared immutable `shared_ptr<const
-//     QueueSnapshot>` values — a query hands out a reference, never a
-//     deep copy of the queued-job vector;
 //   - a publish round re-copies only resources whose scheduler `version()`
 //     moved since the last round (dirty-flag republish); unchanged queues
-//     cost O(1) per round regardless of depth;
-//   - the aggregate `QueueSummary` is published alongside, so consumers
-//     that only rank resources (predictors, brokers) never touch the
-//     per-job detail at all.
+//     cost O(1) per round regardless of depth.
 #pragma once
 
 #include <cstdint>
@@ -73,18 +73,17 @@ class LoadInformationService {
   /// Refreshes all snapshots immediately.
   void publish_now();
 
-  // ---- interned hot path ---------------------------------------------------
-
   /// Contact string -> dense id; 0 for contacts never registered.  Resolve
   /// once, then query by id.
   ContactId resolve(const std::string& contact) const;
 
-  /// Most recently published snapshot, shared (no copy).  kNotFound for
+  /// Aggregate-only published view — what ranking reads.  kNotFound for
   /// invalid / unregistered / never-published ids.
-  util::Result<SnapshotRef> snapshot_ref(ContactId id) const;
-
-  /// Aggregate-only published view — O(1) data regardless of queue depth.
   util::Result<QueueSummary> summary(ContactId id) const;
+
+  /// Most recently published full snapshot, shared (no copy); same errors
+  /// as summary().
+  util::Result<SnapshotRef> snapshot_ref(ContactId id) const;
 
   /// Version of the published content: moves exactly when a publish round
   /// actually refreshed this resource's snapshot, so consumers can cache
@@ -93,16 +92,9 @@ class LoadInformationService {
   /// information mode where every query sees live state).
   std::uint64_t published_version(ContactId id) const;
 
+  /// Age of the published view: kTimeNever when there is none, 0 in
+  /// perfect-information mode.
   sim::Time staleness(ContactId id) const;
-
-  // ---- string-keyed compatibility API --------------------------------------
-
-  /// Most recently published snapshot (deep copy); kNotFound for unknown
-  /// contacts.  Prefer resolve() + snapshot_ref() on hot paths.
-  util::Result<QueueSnapshot> query(const std::string& contact) const;
-
-  /// Age of the published snapshot for a contact (kTimeNever if unknown).
-  sim::Time staleness(const std::string& contact) const;
 
   std::size_t resource_count() const { return registered_count_; }
   sim::Time publish_interval() const { return interval_; }
@@ -123,8 +115,11 @@ class LoadInformationService {
 
   void tick();
   void refresh(Entry& e);
-  Entry* entry(ContactId id);
-  const Entry* entry(ContactId id) const;
+  /// The one lookup behind every query: the entry answering for `id`, or
+  /// kNotFound.  The entry answers live in perfect-information mode.
+  util::Result<const Entry*> lookup(ContactId id) const;
+  /// lookup() counted in stats_.queries / stats_.misses.
+  util::Result<const Entry*> counted_lookup(ContactId id) const;
 
   sim::Engine* engine_;
   sim::Time interval_;

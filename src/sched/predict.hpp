@@ -2,10 +2,12 @@
 //
 // "The resource management system can publish ... forecasts (based, for
 // example, on queue time prediction algorithms [9, 26]) of expected future
-// resource availability."  Two predictors are provided:
+// resource availability."  Predictors read only the published aggregate
+// `QueueSummary`; a caller holding a full `QueueSnapshot` passes
+// `summarize(snapshot)`.  Two predictors are provided:
 //
 //  * AggregateWorkPredictor — deterministic estimate from the published
-//    queue snapshot: queued processor-work divided by machine width
+//    queue summary: queued processor-work divided by machine width
 //    (a Downey-style aggregate bound [9]).
 //  * HistoryPredictor — Smith/Foster/Taylor-style [26]: remembers
 //    (queue state, observed wait) pairs and predicts the mean wait of the
@@ -25,13 +27,8 @@ class WaitPredictor {
   virtual ~WaitPredictor() = default;
 
   /// Predicted queue wait for a newly submitted job asking for `count`
-  /// processors, given a published snapshot of the target queue.
-  virtual sim::Time predict(const QueueSnapshot& snapshot,
-                            std::int32_t count) const = 0;
-
-  /// Same prediction from the aggregate-only summary.  Both provided
-  /// predictors read nothing but aggregates, so this is exact — and it is
-  /// the form the broker uses at scale (O(1) data per candidate).
+  /// processors, given the published summary of the target queue (O(1)
+  /// data per candidate, whatever the queue depth).
   virtual sim::Time predict(const QueueSummary& summary,
                             std::int32_t count) const = 0;
 };
@@ -41,11 +38,9 @@ class WaitPredictor {
 class AggregateWorkPredictor final : public WaitPredictor {
  public:
   /// `mean_job_runtime` calibrates the drain time of currently-busy
-  /// processors when the snapshot carries no estimates.
+  /// processors, for which the summary carries no estimates.
   explicit AggregateWorkPredictor(sim::Time mean_job_runtime = sim::kMinute);
 
-  sim::Time predict(const QueueSnapshot& snapshot,
-                    std::int32_t count) const override;
   sim::Time predict(const QueueSummary& summary,
                     std::int32_t count) const override;
 
@@ -67,8 +62,6 @@ class HistoryPredictor final : public WaitPredictor {
   /// Imports a batch scheduler's accumulated wait history.
   void train(const std::vector<BatchScheduler::WaitObservation>& history);
 
-  sim::Time predict(const QueueSnapshot& snapshot,
-                    std::int32_t count) const override;
   sim::Time predict(const QueueSummary& summary,
                     std::int32_t count) const override;
 

@@ -79,6 +79,64 @@ TEST(RuntimeConfig, CodecRoundTrip) {
   EXPECT_EQ(back.subjob_members, info.subjob_members);
 }
 
+// ---- hostile bootstrap frames -------------------------------------------------
+
+/// A two-process world seen from the leader of subjob 0.  The peer endpoint
+/// plays subjob 1's leader and sends raw gridmpi frames.
+struct RawFrames {
+  RawFrames() {
+    info.config.total_processes = 2;
+    info.config.subjobs = {{1, 0, 1, 0, self.id(), "host1"},
+                           {2, 1, 1, 1, peer.id(), "host2"}};
+    info.subjob_members = {self.id()};
+    comm = std::make_unique<cfg::Communicator>(self, info);
+  }
+
+  /// Sends a table frame of `kind` whose count field reads `count` and
+  /// which carries the peer's node id.
+  void send_table(std::uint8_t kind, std::uint64_t count) {
+    util::Writer w;
+    w.u8(kind);
+    if (kind == kLeaderTable) w.i32(1);  // the peer's subjob
+    w.varint(count);
+    if (kind == kFullTable) w.u32(self.id());
+    w.u32(peer.id());
+    peer.notify(self.id(), cfg::kNotifyGridMpi, w.take());
+    engine.run();
+  }
+
+  static constexpr std::uint8_t kLeaderTable = 2;
+  static constexpr std::uint8_t kFullTable = 3;
+  static constexpr std::uint64_t kHostileCount = std::uint64_t{1} << 62;
+
+  sim::Engine engine;
+  net::Network network{engine};
+  net::Endpoint self{network, "rank0"};
+  net::Endpoint peer{network, "rank1"};
+  core::ReleaseInfo info;
+  std::unique_ptr<cfg::Communicator> comm;
+};
+
+TEST(GridMpiHostile, LeaderTableCountBeyondFrameIsDropped) {
+  RawFrames f;
+  f.comm->init([] {});
+  f.engine.run();
+  f.send_table(RawFrames::kLeaderTable, RawFrames::kHostileCount);
+  EXPECT_FALSE(f.comm->initialized());
+  // The dropped frame left the bootstrap intact: an honest one completes it.
+  f.send_table(RawFrames::kLeaderTable, 1);
+  EXPECT_TRUE(f.comm->initialized());
+}
+
+TEST(GridMpiHostile, FullTableCountBeyondFrameIsDropped) {
+  RawFrames f;
+  f.send_table(RawFrames::kFullTable, RawFrames::kHostileCount);
+  EXPECT_FALSE(f.comm->initialized());
+  f.send_table(RawFrames::kFullTable, 2);
+  EXPECT_TRUE(f.comm->initialized());
+  EXPECT_EQ(f.comm->size(), 2);
+}
+
 // ---- gridmpi over a real co-allocation ---------------------------------------
 
 /// Shared driver: each MpiApp process registers its communicator here once

@@ -6,6 +6,7 @@
 
 #include "app/behaviors.hpp"
 #include "gram/client.hpp"
+#include "gram/nis.hpp"
 #include "testbed/grid.hpp"
 
 namespace grid {
@@ -235,6 +236,35 @@ TEST_F(GramFixture, CrashedNisFailsRequests) {
                   [&](util::Result<gram::JobId> r) { status = r.status(); });
   grid_.run();
   EXPECT_EQ(status.code(), util::ErrorCode::kUnavailable);
+}
+
+TEST(NisClientHostile, GroupCountBeyondReplyIsMalformed) {
+  // A reply claiming 2^62 groups must fail as malformed, not reserve a
+  // vector of that size.
+  sim::Engine engine;
+  net::Network network(engine);
+  net::Endpoint fake(network, "fake-nis");
+  fake.register_method(
+      gram::kMethodInitgroups,
+      [&fake](net::NodeId caller, std::uint64_t call_id, util::Reader&) {
+        util::Writer w;
+        w.varint(std::uint64_t{1} << 62);
+        w.u8(0);
+        fake.respond(caller, call_id, w.take());
+      });
+  net::Endpoint ep(network, "gatekeeper");
+  gram::NisClient client(ep, fake.id());
+  util::Status status;
+  bool done = false;
+  client.initgroups("alice", sim::kSecond,
+                    [&](util::Result<std::vector<std::string>> r) {
+                      status = r.status();
+                      done = true;
+                    });
+  engine.run();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(status.code(), util::ErrorCode::kInternal);
+  EXPECT_EQ(status.message(), "malformed initgroups reply");
 }
 
 TEST_F(GramFixture, BatchHostQueuesUntilProcessorsFree) {

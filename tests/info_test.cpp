@@ -354,6 +354,35 @@ TEST(GisServerPerfectInfo, CacheStaysColdOnLiveViews) {
   EXPECT_EQ(server.cache_stats().misses, 2u);
 }
 
+TEST(GisClientHostile, ContactCountBeyondReplyIsMalformed) {
+  // A 10-byte reply claiming 2^62 contacts must fail as malformed, not
+  // reserve a vector of that size.
+  sim::Engine engine;
+  net::Network network(engine);
+  net::Endpoint fake(network, "fake-gis");
+  fake.register_method(
+      info::kMethodListContacts,
+      [&fake](net::NodeId caller, std::uint64_t call_id, util::Reader&) {
+        util::Writer w;
+        w.varint(std::uint64_t{1} << 62);
+        w.u8(0);
+        fake.respond(caller, call_id, w.take());
+      });
+  net::Endpoint ep(network, "client");
+  info::GisClient client(ep, fake.id());
+  util::Status status;
+  bool done = false;
+  client.list_contacts(sim::kSecond,
+                       [&](util::Result<std::vector<std::string>> r) {
+                         status = r.status();
+                         done = true;
+                       });
+  engine.run();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(status.code(), util::ErrorCode::kInternal);
+  EXPECT_EQ(status.message(), "malformed contact list");
+}
+
 // ---- broker ---------------------------------------------------------------------
 
 TEST_F(GisFixture, BrokerPicksLeastLoaded) {
@@ -404,34 +433,109 @@ TEST_F(GisFixture, BrokerRejectsDegenerateInputs) {
   EXPECT_EQ(status.code(), util::ErrorCode::kInvalidArgument);
 }
 
-TEST_F(GisFixture, BrokerSummarySelectionMatchesSnapshotSelection) {
-  // The documented contract: with the stock predictors, the summary-first
-  // path ranks candidates identically to full-snapshot selection.
-  sched::AggregateWorkPredictor predictor;
-  info::ResourceBroker broker(*client, predictor);
-  util::Result<std::vector<info::ResourceBroker::Placement>> via_snap{
-      util::Status(util::ErrorCode::kInternal, "unset")};
-  util::Result<std::vector<info::ResourceBroker::Placement>> via_summary{
-      util::Status(util::ErrorCode::kInternal, "unset")};
-  broker.select({"busy", "idle"}, 2, 16, sim::kSecond,
-                [&](util::Result<std::vector<info::ResourceBroker::Placement>>
-                        r) { via_snap = std::move(r); });
-  broker.select_by_summary(
-      {"busy", "idle"}, 2, 16, sim::kSecond,
-      [&](util::Result<std::vector<info::ResourceBroker::Placement>> r) {
-        via_summary = std::move(r);
-      });
-  engine->run();
-  ASSERT_TRUE(via_snap.is_ok()) << via_snap.status().to_string();
-  ASSERT_TRUE(via_summary.is_ok()) << via_summary.status().to_string();
-  ASSERT_EQ(via_snap.value().size(), via_summary.value().size());
-  for (std::size_t i = 0; i < via_snap.value().size(); ++i) {
-    EXPECT_EQ(via_snap.value()[i].contact, via_summary.value()[i].contact);
-    EXPECT_EQ(via_snap.value()[i].predicted_wait,
-              via_summary.value()[i].predicted_wait);
-    EXPECT_EQ(via_snap.value()[i].free_processors,
-              via_summary.value()[i].free_processors);
+using SelectResult =
+    util::Result<std::vector<info::ResourceBroker::Placement>>;
+
+void expect_same_selection(const SelectResult& want, const SelectResult& got,
+                           const std::string& what) {
+  ASSERT_EQ(want.is_ok(), got.is_ok()) << what;
+  if (!want.is_ok()) {
+    EXPECT_EQ(want.status().code(), got.status().code()) << what;
+    EXPECT_EQ(want.status().message(), got.status().message()) << what;
+    return;
   }
+  ASSERT_EQ(want.value().size(), got.value().size()) << what;
+  for (std::size_t i = 0; i < want.value().size(); ++i) {
+    EXPECT_EQ(want.value()[i].contact, got.value()[i].contact) << what;
+    EXPECT_EQ(want.value()[i].predicted_wait, got.value()[i].predicted_wait)
+        << what;
+    EXPECT_EQ(want.value()[i].free_processors,
+              got.value()[i].free_processors)
+        << what;
+  }
+}
+
+TEST_F(GisFixture, BrokerSummarySelectionMatchesSnapshotSelection) {
+  // The documented contract: every entry point ranks candidates
+  // identically — full snapshots, summaries, and federated summaries over
+  // one directory or split across two — for both stock predictors, and
+  // fails identically.
+  sched::BatchScheduler deep(*engine, 32);
+  sched::BatchScheduler small(*engine, 8);
+  for (sched::JobId id = 10; id < 16; ++id) {
+    sched::JobDescriptor d;
+    d.id = id;
+    d.count = 16;
+    d.runtime = sim::kHour;
+    d.estimated_runtime = static_cast<sim::Time>(id - 9) * 10 * sim::kMinute;
+    deep.submit(d, nullptr, nullptr);
+  }
+  service->register_resource("deep", &deep);
+  service->register_resource("small", &small);
+  service->publish_now();
+  // A second directory over the same service, for the two-group split.
+  info::GisServer server2(*network, *service);
+  info::GisClient client2(*endpoint, server2.contact());
+
+  sched::AggregateWorkPredictor aggregate;
+  sched::HistoryPredictor history(64, 2);
+  for (int i = 0; i < 8; ++i) {
+    history.observe(0, 0, 16, 0);
+    history.observe(1, 64 * sim::kHour, 16, 20 * sim::kMinute);
+    history.observe(4, 40 * sim::kHour, 16, 50 * sim::kMinute);
+  }
+
+  // select, select_by_summary, select_federated over one directory, and
+  // select_federated with the candidates split across two directories.
+  const auto select_everywhere = [&](const std::vector<std::string>& cands,
+                                     std::size_t k,
+                                     const sched::WaitPredictor& predictor) {
+    info::ResourceBroker broker(*client, predictor);
+    std::vector<SelectResult> results(
+        4, SelectResult(util::Status(util::ErrorCode::kInternal, "unset")));
+    const auto into = [&](std::size_t i) {
+      return [&results, i](SelectResult r) { results[i] = std::move(r); };
+    };
+    broker.select(cands, k, 16, sim::kSecond, into(0));
+    broker.select_by_summary(cands, k, 16, sim::kSecond, into(1));
+    info::ResourceBroker::select_federated({{client.get(), cands}}, k, 16,
+                                           sim::kSecond, predictor, into(2));
+    const auto half = static_cast<std::ptrdiff_t>(cands.size() / 2);
+    info::ResourceBroker::select_federated(
+        {{client.get(), {cands.begin(), cands.begin() + half}},
+         {&client2, {cands.begin() + half, cands.end()}}},
+        k, 16, sim::kSecond, predictor, into(3));
+    engine->run();
+    return results;
+  };
+  const auto check = [&](const std::vector<std::string>& cands,
+                         std::size_t k, bool expect_ok) {
+    for (const sched::WaitPredictor* predictor :
+         {static_cast<const sched::WaitPredictor*>(&aggregate),
+          static_cast<const sched::WaitPredictor*>(&history)}) {
+      const std::vector<SelectResult> r =
+          select_everywhere(cands, k, *predictor);
+      const std::string what = "k=" + std::to_string(k) + " " +
+                               (predictor == &aggregate ? "aggregate"
+                                                        : "history");
+      ASSERT_EQ(r[0].is_ok(), expect_ok)
+          << what << ": " << r[0].status().to_string();
+      if (!expect_ok) {
+        EXPECT_NE(r[0].status().code(), util::ErrorCode::kInternal) << what;
+      }
+      for (std::size_t i = 1; i < r.size(); ++i) {
+        expect_same_selection(r[0], r[i],
+                              what + " entry point " + std::to_string(i));
+      }
+    }
+  };
+  const std::vector<std::string> all = {"deep", "busy", "small", "idle"};
+  check(all, 2, true);
+  check(all, 3, true);
+  check(all, 4, false);  // "small" is too small: only 3 usable
+  check({"busy", "mystery", "idle"}, 2, true);   // unknown one skipped
+  check({"busy", "mystery", "idle"}, 3, false);  // ... and not counted
+  check(all, 0, false);                          // k == 0
 }
 
 TEST(Broker, BuildRequestsMapsPlacements) {

@@ -236,9 +236,9 @@ TEST(Integration, ForecastGuidedSelectionAvoidsBusyMachine) {
   std::string best;
   sim::Time best_wait = sim::kTimeNever;
   for (const std::string& cand : {std::string("busy"), std::string("idle")}) {
-    auto snap = gis.query(cand);
-    ASSERT_TRUE(snap.is_ok());
-    const sim::Time w = predictor.predict(snap.value(), 16);
+    auto summary = gis.summary(gis.resolve(cand));
+    ASSERT_TRUE(summary.is_ok());
+    const sim::Time w = predictor.predict(summary.value(), 16);
     if (w < best_wait) {
       best_wait = w;
       best = cand;
