@@ -15,9 +15,9 @@
 // with the same seed to demonstrate determinism.
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 
 #include "app/behaviors.hpp"
-#include "core/duroc.hpp"
 #include "core/monitor.hpp"
 #include "simkit/stats.hpp"
 #include "simkit/trialpool.hpp"
@@ -88,7 +88,6 @@ TrialResult run_trial(bool fault_tolerant, double loss, std::uint64_t seed) {
   if (fault_tolerant) mech->gram().set_retry_policy(bench_retry_policy(seed));
   grid.network().set_drop_probability(loss);
 
-  core::DurocAllocator duroc(*mech);
   TrialResult out;
   core::RequestCallbacks cbs;
   cbs.on_released = [&](const core::RuntimeConfig&) {
@@ -99,7 +98,7 @@ TrialResult run_trial(bool fault_tolerant, double loss, std::uint64_t seed) {
     out.ok = status.is_ok();
     out.finish_s = sim::to_seconds(grid.engine().now());
   };
-  core::CoallocationRequest* req = duroc.create_request(std::move(cbs));
+  core::CoallocationRequest* req = mech->create_request(std::move(cbs));
   const char* kinds[] = {"required", "interactive", "optional", "optional"};
   std::vector<std::string> subs;
   for (int i = 0; i < kMachines; ++i) {
@@ -109,7 +108,11 @@ TrialResult run_trial(bool fault_tolerant, double loss, std::uint64_t seed) {
   req->start();
   if (!req->commit().is_ok()) return out;
   std::unique_ptr<core::HeartbeatDetector> detector;
-  if (fault_tolerant) detector = duroc.watch(req->id(), bench_heartbeats());
+  if (fault_tolerant) {
+    detector = std::make_unique<core::HeartbeatDetector>(*mech, req->id(),
+                                                         bench_heartbeats());
+    detector->start();
+  }
 
   grid.run_until(kHorizon);
   if (out.finish_s < 0.0) {

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "app/behaviors.hpp"
-#include "core/duroc.hpp"
+#include "core/coallocator.hpp"
 #include "testbed/grid.hpp"
 #include "testbed/report.hpp"
 
@@ -25,9 +25,8 @@ int main() {
   app::BarrierStats stats;
   app::install_app(grid.executables(), "app", app::StartupProfile{}, &stats);
   auto mech = grid.make_coallocator("duroc-agent", "/CN=bench");
-  core::DurocAllocator duroc(*mech);
   sim::Time released_at = -1;
-  auto* req = duroc.create_request(
+  auto* req = mech->create_request(
       {.on_subjob = nullptr,
        .on_released =
            [&](const core::RuntimeConfig&) { released_at = grid.engine().now(); },

@@ -7,7 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include "app/behaviors.hpp"
-#include "core/duroc.hpp"
+#include "core/coallocator.hpp"
 #include "rsl/parser.hpp"
 #include "simkit/codec.hpp"
 #include "simkit/engine.hpp"
@@ -114,9 +114,8 @@ void BM_FullCoallocation(benchmark::State& state) {
     app::install_app(grid.executables(), "app", app::StartupProfile{},
                      &stats);
     auto mech = grid.make_coallocator("agent", "/CN=bench");
-    core::DurocAllocator duroc(*mech);
     bool released = false;
-    auto* req = duroc.create_request(
+    auto* req = mech->create_request(
         {.on_subjob = nullptr,
          .on_released = [&](const core::RuntimeConfig&) { released = true; },
          .on_terminal = nullptr});

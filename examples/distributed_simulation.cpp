@@ -22,7 +22,7 @@
 #include <cstdio>
 
 #include "app/behaviors.hpp"
-#include "core/duroc.hpp"
+#include "core/coallocator.hpp"
 #include "testbed/grid.hpp"
 
 using namespace grid;
@@ -85,12 +85,11 @@ int main() {
   config.rpc_timeout = 10 * sim::kSecond;
   // The application's startup deadline: five minutes.
   config.startup_timeout = 5 * sim::kMinute;
-  core::DurocAllocator duroc(*mechanisms);
 
   core::CoallocationRequest* req = nullptr;
   bool substituted = false;
   bool released = false;
-  req = duroc.create_request(
+  req = mechanisms->create_request(
       {
           .on_subjob =
               [&](core::SubjobHandle h, core::SubjobState s,

@@ -3,8 +3,9 @@
 //
 // This is the "co-allocation mechanism component" of the layered
 // architecture (paper §3.1): co-allocation agents (applications, resource
-// brokers, the GRAB/DUROC strategy classes) create requests through it and
-// drive them with the editing / commit / monitoring operations.
+// brokers, DUROC agents, GRAB and the agent strategies) create requests
+// through it and drive them with the editing / commit / monitoring
+// operations.
 #pragma once
 
 #include <memory>

@@ -16,7 +16,6 @@ CoallocationRequest* CompositeAgent::add_child(Coallocator& mechanisms,
   };
   cbs.on_released = [this, index](const RuntimeConfig& config_table) {
     Child& c = children_[index];
-    c.released = true;
     c.config = config_table;
     ++released_count_;
     if (c.user.on_released) c.user.on_released(config_table);
@@ -64,24 +63,11 @@ void CompositeAgent::on_child_subjob(std::size_t index, SubjobHandle handle,
 void CompositeAgent::evaluate() {
   // Top-level commit point: every child must hold its full resource set at
   // the barrier before any child is committed (two-level two-phase commit).
-  for (Child& child : children_) {
-    if (is_request_terminal(child.request->state())) return;
-    bool ready = true;
-    bool any_live = false;
-    for (SubjobHandle h : child.request->subjobs()) {
-      auto view = child.request->subjob(h);
-      if (!view.is_ok()) continue;
-      const SubjobView& v = view.value();
-      if (v.state == SubjobState::kFailed ||
-          v.state == SubjobState::kDeleted) {
-        continue;
-      }
-      any_live = true;
-      if (v.start_type == rsl::SubjobStartType::kOptional) continue;
-      if (v.state != SubjobState::kCheckedIn) ready = false;
-    }
-    child.ready = ready && any_live;
-    if (!child.ready) return;
+  for (const Child& child : children_) {
+    const CoallocationRequest& r = *child.request;
+    if (is_request_terminal(r.state())) return;
+    // A child with no live subjob holds nothing at its barrier.
+    if (!r.barrier_ready() || r.live_subjob_count() == 0) return;
   }
   committed_ = true;
   for (Child& child : children_) child.request->commit();

@@ -58,8 +58,6 @@ class GRID_HOT CompositeAgent {
   struct Child {
     CoallocationRequest* request = nullptr;
     RequestCallbacks user;
-    bool ready = false;     // every live non-optional subjob checked in
-    bool released = false;
     RuntimeConfig config;
   };
 

@@ -5,7 +5,7 @@
 namespace grid::core {
 
 util::Result<RequestId> GrabAllocator::allocate(
-    const std::string& rsl_text, Callbacks callbacks,
+    const std::string& rsl_text, RequestCallbacks callbacks,
     std::optional<RequestConfig> config) {
   auto spec = rsl::parse_multi_request(rsl_text);
   if (!spec.is_ok()) return spec.status();
@@ -15,18 +15,15 @@ util::Result<RequestId> GrabAllocator::allocate(
 }
 
 util::Result<RequestId> GrabAllocator::allocate(
-    std::vector<rsl::JobRequest> subjobs, Callbacks callbacks,
+    std::vector<rsl::JobRequest> subjobs, RequestCallbacks callbacks,
     std::optional<RequestConfig> config) {
   if (subjobs.empty()) {
     return util::Status(util::ErrorCode::kInvalidArgument,
                         "empty co-allocation request");
   }
-  RequestCallbacks cbs;
-  cbs.on_released = std::move(callbacks.on_started);
-  cbs.on_terminal = std::move(callbacks.on_done);
   CoallocationRequest* request =
-      config.has_value() ? mech_->create_request(std::move(cbs), *config)
-                         : mech_->create_request(std::move(cbs));
+      config.has_value() ? mech_->create_request(std::move(callbacks), *config)
+                         : mech_->create_request(std::move(callbacks));
   for (rsl::JobRequest& j : subjobs) {
     j.start_type = rsl::SubjobStartType::kRequired;  // atomic semantics
     auto added = request->add_subjob(std::move(j));

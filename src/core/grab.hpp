@@ -26,27 +26,20 @@ namespace grid::core {
 
 class GRID_HOT GrabAllocator {
  public:
-  struct Callbacks {
-    /// Fired when all resources are acquired and the barrier released.
-    /// gridlint: allow(hot-function) — once per transaction
-    std::function<void(const RuntimeConfig&)> on_started;
-    /// Fired once at the end: OK after the application completes, or the
-    /// error that rolled back.  gridlint: allow(hot-function)
-    std::function<void(const util::Status&)> on_done;
-  };
-
   explicit GrabAllocator(Coallocator& mechanisms) : mech_(&mechanisms) {}
 
   /// Starts an atomic co-allocation from RSL text.  subjobStartType
   /// attributes are ignored: every subjob is treated as required.  Without
-  /// an explicit config the mechanism layer's defaults apply.
+  /// an explicit config the mechanism layer's defaults apply.  on_released
+  /// fires once every resource is acquired; on_terminal fires once, OK
+  /// after the application completes or the error that rolled back.
   util::Result<RequestId> allocate(
-      const std::string& rsl_text, Callbacks callbacks,
+      const std::string& rsl_text, RequestCallbacks callbacks,
       std::optional<RequestConfig> config = std::nullopt);
 
   /// Same, from typed subjob descriptions.
   util::Result<RequestId> allocate(
-      std::vector<rsl::JobRequest> subjobs, Callbacks callbacks,
+      std::vector<rsl::JobRequest> subjobs, RequestCallbacks callbacks,
       std::optional<RequestConfig> config = std::nullopt);
 
   /// Rolls back / kills an allocation.

@@ -39,7 +39,6 @@ CoallocationRequest::~CoallocationRequest() {
   *alive_ = false;
   slots_.for_each([this](SubjobHandle, Subjob& sj) {
     owner_->engine().cancel(sj.timeout_event);
-    owner_->engine().cancel(sj.probe_event);
     // Unregister the state watcher so late notifies from the job manager
     // don't fire into a destroyed request.
     if (sj.gram_job != 0) owner_->gram().forget(sj.gram_job);
@@ -96,7 +95,6 @@ util::Status CoallocationRequest::remove_subjob(SubjobHandle handle) {
     return {util::ErrorCode::kNotFound, "unknown subjob"};
   }
   owner_->engine().cancel(sj->timeout_event);
-  owner_->engine().cancel(sj->probe_event);
   cancel_gram_job(*sj);
   abort_subjob_processes(*sj, "subjob removed from request");
   set_state(*sj, SubjobState::kDeleted);
@@ -115,7 +113,6 @@ util::Status CoallocationRequest::substitute_subjob(SubjobHandle handle,
     return {util::ErrorCode::kNotFound, "unknown subjob"};
   }
   owner_->engine().cancel(sj->timeout_event);
-  owner_->engine().cancel(sj->probe_event);
   cancel_gram_job(*sj);
   abort_subjob_processes(*sj, "subjob substituted");
   agg_remove(*sj);
@@ -128,7 +125,6 @@ util::Status CoallocationRequest::substitute_subjob(SubjobHandle handle,
   sj->process_nodes.clear();
   sj->checked.clear();
   sj->checked_count = 0;
-  sj->probe_misses = 0;
   sj->early_checkins.clear();
   sj->failure = util::Status::ok();
   sj->submitted_at = sj->accepted_at = sj->active_at = sj->checked_in_at = -1;
@@ -246,7 +242,6 @@ void CoallocationRequest::on_accepted(SubjobHandle handle,
   sj->accepted_at = owner_->engine().now();
   set_state(*sj, SubjobState::kPending);
   if (config_.serialize_until_checkin) hold_handle_ = handle;
-  arm_liveness_probe(*sj);
   notify_subjob(*sj);
   // Replay check-ins that raced ahead of this accept reply.
   if (!sj->early_checkins.empty()) {
@@ -363,7 +358,6 @@ void CoallocationRequest::on_checkin(net::NodeId src,
     set_state(*sj, SubjobState::kCheckedIn);
     sj->checked_in_at = owner_->engine().now();
     owner_->engine().cancel(sj->timeout_event);
-    owner_->engine().cancel(sj->probe_event);
     notify_subjob(*sj);
     if (hold_handle_ == sj->handle) {
       hold_handle_ = 0;
@@ -371,6 +365,7 @@ void CoallocationRequest::on_checkin(net::NodeId src,
     }
     if (state_ == RequestState::kReleased) {
       // A late optional subjob joins the running computation (§3.2).
+      append_layout(*sj);
       release_subjob(*sj);
     } else {
       maybe_release();
@@ -378,57 +373,45 @@ void CoallocationRequest::on_checkin(net::NodeId src,
   }
 }
 
-void CoallocationRequest::maybe_release() {
-  if (state_ != RequestState::kCommitted) return;
-  std::size_t live = 0;
+bool CoallocationRequest::barrier_ready() const {
   for (SubjobHandle h : order_) {
     const Subjob* sj = find(h);
     if (sj == nullptr || !is_live(*sj)) continue;
-    ++live;
     if (sj->request.start_type == rsl::SubjobStartType::kOptional) continue;
-    if (sj->state != SubjobState::kCheckedIn) return;  // barrier not full
+    if (sj->state != SubjobState::kCheckedIn) return false;
   }
-  if (live == 0) {
+  return true;
+}
+
+void CoallocationRequest::maybe_release() {
+  if (state_ != RequestState::kCommitted || !barrier_ready()) return;
+  if (agg_.live_subjobs == 0) {
     abort("no live subjobs remain in the committed request");
     return;
   }
   // Release: build the final configuration over fully checked-in subjobs
   // (insertion order), then let every process out of the barrier.
+  // Optional subjobs still pending join later through on_checkin().
   state_ = RequestState::kReleased;
   released_at_ = owner_->engine().now();
   config_table_ = RuntimeConfig{};
   config_table_.request = id_;
   for (SubjobHandle h : order_) {
-    Subjob* sj = find(h);
-    if (sj == nullptr || !is_live(*sj)) continue;
-    if (sj->state != SubjobState::kCheckedIn) continue;  // pending optional
-    SubjobLayout layout;
-    layout.subjob = sj->handle;
-    layout.index = static_cast<std::int32_t>(config_table_.subjobs.size());
-    layout.size = sj->request.count;
-    layout.rank_base = config_table_.total_processes;
-    layout.leader = sj->process_nodes.empty() ? net::kInvalidNode
-                                              : sj->process_nodes.front();
-    layout.contact = sj->request.resource_manager_contact;
-    config_table_.total_processes += sj->request.count;
-    config_table_.subjobs.push_back(std::move(layout));
+    const Subjob* sj = find(h);
+    if (sj != nullptr && sj->state == SubjobState::kCheckedIn) {
+      append_layout(*sj);
+    }
   }
   for (SubjobHandle h : order_) {
     Subjob* sj = find(h);
-    if (sj == nullptr || sj->state != SubjobState::kCheckedIn) continue;
-    set_state(*sj, SubjobState::kReleased);
-    sj->released = true;
-    sj->released_at = owner_->engine().now();
-    for (std::int32_t rank = 0; rank < sj->request.count; ++rank) {
-      send_release(*sj, rank);
+    if (sj != nullptr && sj->state == SubjobState::kCheckedIn) {
+      release_subjob(*sj);
     }
-    notify_subjob(*sj);
   }
   if (callbacks_.on_released) callbacks_.on_released(config_table_);
 }
 
-void CoallocationRequest::release_subjob(Subjob& sj) {
-  // Late join: extend the configuration without renumbering existing ranks.
+void CoallocationRequest::append_layout(const Subjob& sj) {
   SubjobLayout layout;
   layout.subjob = sj.handle;
   layout.index = static_cast<std::int32_t>(config_table_.subjobs.size());
@@ -439,8 +422,10 @@ void CoallocationRequest::release_subjob(Subjob& sj) {
   layout.contact = sj.request.resource_manager_contact;
   config_table_.total_processes += sj.request.count;
   config_table_.subjobs.push_back(std::move(layout));
+}
+
+void CoallocationRequest::release_subjob(Subjob& sj) {
   set_state(sj, SubjobState::kReleased);
-  sj.released = true;
   sj.released_at = owner_->engine().now();
   for (std::int32_t rank = 0; rank < sj.request.count; ++rank) {
     send_release(sj, rank);
@@ -505,55 +490,6 @@ void CoallocationRequest::arm_timeout(Subjob& sj) {
       });
 }
 
-void CoallocationRequest::arm_liveness_probe(Subjob& sj) {
-  if (config_.liveness_probe_interval <= 0) return;
-  owner_->engine().cancel(sj.probe_event);
-  sj.probe_event = owner_->engine().schedule_after(
-      config_.liveness_probe_interval,
-      [this, handle = sj.handle, inc = sj.incarnation] {
-        probe_liveness(handle, inc);
-      });
-}
-
-void CoallocationRequest::probe_liveness(SubjobHandle handle,
-                                         std::uint32_t incarnation) {
-  Subjob* sj = find(handle);
-  if (sj == nullptr || sj->incarnation != incarnation ||
-      is_request_terminal(state_)) {
-    return;
-  }
-  if (sj->state != SubjobState::kPending &&
-      sj->state != SubjobState::kActive) {
-    return;  // barrier reached or slot edited: probing is over
-  }
-  owner_->gram().ping(
-      sj->gatekeeper, config_.rpc_timeout,
-      [this, handle, incarnation, alive = alive_](util::Status status) {
-        if (!*alive) return;
-        Subjob* s = find(handle);
-        if (s == nullptr || s->incarnation != incarnation ||
-            is_request_terminal(state_) ||
-            (s->state != SubjobState::kPending &&
-             s->state != SubjobState::kActive)) {
-          return;
-        }
-        if (status.is_ok()) {
-          s->probe_misses = 0;
-          arm_liveness_probe(*s);
-          return;
-        }
-        if (++s->probe_misses >= config_.liveness_failures_allowed) {
-          fail_subjob(handle,
-                      util::Status(util::ErrorCode::kUnavailable,
-                                   "resource manager unresponsive to " +
-                                       std::to_string(s->probe_misses) +
-                                       " consecutive liveness probes"));
-          return;
-        }
-        arm_liveness_probe(*s);
-      });
-}
-
 void CoallocationRequest::cancel_gram_job(Subjob& sj) {
   if (sj.gram_job == 0 || sj.gatekeeper == net::kInvalidNode) return;
   owner_->gram().forget(sj.gram_job);
@@ -582,7 +518,6 @@ void CoallocationRequest::fail_subjob(SubjobHandle handle, util::Status why) {
   Subjob* sj = find(handle);
   if (sj == nullptr || is_subjob_terminal(sj->state)) return;
   owner_->engine().cancel(sj->timeout_event);
-  owner_->engine().cancel(sj->probe_event);
   cancel_gram_job(*sj);
   abort_subjob_processes(*sj, "subjob failed: " + why.message());
   set_state(*sj, SubjobState::kFailed);
@@ -630,7 +565,6 @@ void CoallocationRequest::abort(const std::string& reason) {
     Subjob* sj = find(h);
     if (sj == nullptr) continue;
     owner_->engine().cancel(sj->timeout_event);
-    owner_->engine().cancel(sj->probe_event);
     if (sj->state == SubjobState::kDeleted) continue;
     cancel_gram_job(*sj);
     abort_subjob_processes(*sj, reason);
@@ -770,24 +704,6 @@ SubjobHandle CoallocationRequest::find_labeled(std::string_view label) const {
     }
   }
   return 0;
-}
-
-std::size_t CoallocationRequest::live_subjob_count() const {
-  std::size_t n = 0;
-  for (SubjobHandle h : order_) {
-    const Subjob* sj = find(h);
-    if (sj != nullptr && is_live(*sj)) ++n;
-  }
-  return n;
-}
-
-std::int32_t CoallocationRequest::total_live_processes() const {
-  std::int32_t n = 0;
-  for (SubjobHandle h : order_) {
-    const Subjob* sj = find(h);
-    if (sj != nullptr && is_live(*sj)) n += sj->request.count;
-  }
-  return n;
 }
 
 }  // namespace grid::core

@@ -66,13 +66,6 @@ struct RequestConfig {
   /// "zero concurrency" behaviour Figure 4 compares against.  The default
   /// (false) overlaps remote processing with later submissions.
   bool serialize_until_checkin = false;
-  /// When > 0, the co-allocator pings each waiting subjob's gatekeeper on
-  /// this interval; `liveness_failures_allowed` consecutive unanswered
-  /// probes fail the subjob immediately instead of waiting for the full
-  /// startup deadline (§3.4: failure modes "ranging from an error report
-  /// to lack of progress").  0 disables probing.
-  sim::Time liveness_probe_interval = 0;
-  int liveness_failures_allowed = 2;
 };
 
 /// A subjob slot as visible to co-allocation agents.
@@ -147,8 +140,8 @@ class GRID_HOT CoallocationRequest {
   void start();
 
   /// Enters the commit phase: edits are frozen and the barrier releases
-  /// once every live non-optional subjob has checked in.  Fails if no
-  /// submissions were started or the request already left the edit phase.
+  /// once barrier_ready().  Fails if no submissions were started or the
+  /// request already left the edit phase.
   util::Status commit();
 
   /// Aborts the computation: cancels all GRAM jobs, aborts all checked-in
@@ -205,8 +198,12 @@ class GRID_HOT CoallocationRequest {
   /// how Figure 1-style requests name their logical pieces.
   SubjobHandle find_labeled(std::string_view label) const;
   /// Live subjobs: edited in and not failed/deleted.
-  std::size_t live_subjob_count() const;
-  std::int32_t total_live_processes() const;
+  std::size_t live_subjob_count() const { return agg_.live_subjobs; }
+  std::int32_t total_live_processes() const { return agg_.live_processes; }
+  /// The barrier-readiness rule (§3.2): every live non-optional subjob has
+  /// fully checked in.  Vacuously true when no subjob is live; callers that
+  /// must not commit or release an empty ensemble check live_subjob_count().
+  bool barrier_ready() const;
   sim::Time released_at() const { return released_at_; }
 
   /// The configuration sent at release (valid once state >= kReleased).
@@ -225,12 +222,9 @@ class GRID_HOT CoallocationRequest {
     std::vector<net::NodeId> process_nodes;  // indexed by local rank
     std::vector<bool> checked;
     std::int32_t checked_count = 0;
-    bool queued = false;    // waiting in the submission pipeline
-    bool released = false;
+    bool queued = false;  // waiting in the submission pipeline
     util::Status failure;
     sim::EventId timeout_event;
-    sim::EventId probe_event;
-    int probe_misses = 0;
     /// Check-ins that overtook the GRAM accept reply on a jittery network;
     /// replayed once the job id is known.
     std::vector<std::pair<net::NodeId, CheckinMessage>> early_checkins;
@@ -252,6 +246,10 @@ class GRID_HOT CoallocationRequest {
   // Barrier.
   void on_checkin(net::NodeId src, const CheckinMessage& msg);
   void maybe_release();
+  /// Appends `sj` to the runtime configuration without renumbering the
+  /// ranks already in it.
+  void append_layout(const Subjob& sj);
+  /// Lets every process of a checked-in subjob out of the barrier.
   void release_subjob(Subjob& sj);
   void send_release(const Subjob& sj, std::int32_t rank);
 
@@ -260,8 +258,6 @@ class GRID_HOT CoallocationRequest {
   void abort_subjob_processes(Subjob& sj, const std::string& reason);
   void cancel_gram_job(Subjob& sj);
   void arm_timeout(Subjob& sj);
-  void arm_liveness_probe(Subjob& sj);
-  void probe_liveness(SubjobHandle handle, std::uint32_t incarnation);
   void maybe_done();
   void finish(util::Status status);
 
@@ -295,8 +291,8 @@ class GRID_HOT CoallocationRequest {
   RuntimeConfig config_table_;
   sim::Time released_at_ = -1;
   /// Cleared by the destructor; captured by callbacks handed to the gram
-  /// client (submit accept, state notify, liveness ping), which can outlive
-  /// the request when it is destroyed mid-flight.
+  /// client (submit accept, state notify), which can outlive the request
+  /// when it is destroyed mid-flight.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 

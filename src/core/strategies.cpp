@@ -25,9 +25,9 @@ void ReplacementAgent::on_subjob(SubjobHandle handle, SubjobState state,
   if (user_.on_subjob) user_.on_subjob(handle, state, why);
   if (state == SubjobState::kFailed &&
       request_->state() == RequestState::kEditing) {
-    auto view = request_->subjob(handle);
-    if (view.is_ok() &&
-        view.value().start_type == rsl::SubjobStartType::kInteractive &&
+    auto brief = request_->subjob_brief(handle);
+    if (brief.is_ok() &&
+        brief.value().start_type == rsl::SubjobStartType::kInteractive &&
         !spares_.empty() && substitutions_ < options_.max_substitutions) {
       auto original = request_->subjob_request(handle);
       if (original.is_ok()) {
@@ -49,18 +49,9 @@ void ReplacementAgent::on_subjob(SubjobHandle handle, SubjobState state,
 
 void ReplacementAgent::maybe_commit() {
   if (!options_.auto_commit || committed_ ||
-      request_->state() != RequestState::kEditing) {
+      request_->state() != RequestState::kEditing ||
+      !request_->barrier_ready()) {
     return;
-  }
-  for (SubjobHandle h : request_->subjobs()) {
-    auto view = request_->subjob(h);
-    if (!view.is_ok()) continue;
-    const SubjobView& v = view.value();
-    if (v.state == SubjobState::kFailed || v.state == SubjobState::kDeleted) {
-      continue;
-    }
-    if (v.start_type == rsl::SubjobStartType::kOptional) continue;
-    if (v.state != SubjobState::kCheckedIn) return;
   }
   committed_ = true;
   request_->commit();
@@ -98,10 +89,10 @@ MinimumCountAgent::~MinimumCountAgent() {
 
 std::int32_t MinimumCountAgent::checked_in_processes() const {
   std::int32_t n = 0;
-  for (SubjobHandle h : request_->subjobs()) {
-    auto view = request_->subjob(h);
-    if (view.is_ok() && view.value().state == SubjobState::kCheckedIn) {
-      n += view.value().count;
+  for (SubjobHandle h : request_->subjob_order()) {
+    auto brief = request_->subjob_brief(h);
+    if (brief.is_ok() && brief.value().state == SubjobState::kCheckedIn) {
+      n += brief.value().count;
     }
   }
   return n;
@@ -119,10 +110,10 @@ void MinimumCountAgent::evaluate() {
   // deleting laggards only applies to interactive ones (Fig. 1 semantics).
   std::int32_t ready = 0;
   bool required_pending = false;
-  for (SubjobHandle h : request_->subjobs()) {
-    auto view = request_->subjob(h);
-    if (!view.is_ok()) continue;
-    const SubjobView& v = view.value();
+  for (SubjobHandle h : request_->subjob_order()) {
+    auto brief = request_->subjob_brief(h);
+    if (!brief.is_ok()) continue;
+    const CoallocationRequest::SubjobBrief& v = brief.value();
     if (v.state == SubjobState::kFailed || v.state == SubjobState::kDeleted) {
       continue;
     }
@@ -136,9 +127,9 @@ void MinimumCountAgent::evaluate() {
   committed_ = true;
   // Terminate subjobs that have not yet responded, then commit (§4.1).
   for (SubjobHandle h : request_->subjobs()) {
-    auto view = request_->subjob(h);
-    if (!view.is_ok()) continue;
-    const SubjobView& v = view.value();
+    auto brief = request_->subjob_brief(h);
+    if (!brief.is_ok()) continue;
+    const CoallocationRequest::SubjobBrief& v = brief.value();
     if (v.state == SubjobState::kFailed || v.state == SubjobState::kDeleted ||
         v.state == SubjobState::kCheckedIn) {
       continue;
@@ -203,16 +194,9 @@ void AlternativesAgent::on_subjob(SubjobHandle handle, SubjobState state,
 }
 
 void AlternativesAgent::maybe_commit() {
-  if (committed_ || request_->state() != RequestState::kEditing) return;
-  for (SubjobHandle h : request_->subjobs()) {
-    auto view = request_->subjob(h);
-    if (!view.is_ok()) continue;
-    const SubjobView& v = view.value();
-    if (v.state == SubjobState::kFailed || v.state == SubjobState::kDeleted) {
-      continue;
-    }
-    if (v.start_type == rsl::SubjobStartType::kOptional) continue;
-    if (v.state != SubjobState::kCheckedIn) return;
+  if (committed_ || request_->state() != RequestState::kEditing ||
+      !request_->barrier_ready()) {
+    return;
   }
   committed_ = true;
   request_->commit();
@@ -247,9 +231,9 @@ void FirstAvailableAgent::on_subjob(SubjobHandle handle, SubjobState state,
     // Commit to the first responder; release the losers.
     for (SubjobHandle h : request_->subjobs()) {
       if (h == winner_) continue;
-      auto view = request_->subjob(h);
-      if (view.is_ok() && view.value().state != SubjobState::kFailed &&
-          view.value().state != SubjobState::kDeleted) {
+      auto brief = request_->subjob_brief(h);
+      if (brief.is_ok() && brief.value().state != SubjobState::kFailed &&
+          brief.value().state != SubjobState::kDeleted) {
         request_->remove_subjob(h);
       }
     }

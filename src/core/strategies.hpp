@@ -38,7 +38,7 @@ class GRID_HOT ReplacementAgent {
     std::vector<std::string> spare_contacts;
     /// Cap on total substitutions across the request.
     std::size_t max_substitutions = SIZE_MAX;
-    /// Commit automatically once every live subjob has checked in.
+    /// Commit automatically once the request is barrier_ready().
     bool auto_commit = true;
   };
 
@@ -98,7 +98,8 @@ class MinimumCountAgent {
 /// Drives a request whose slots carry RSL '|' alternatives: each slot
 /// starts on its first option; when an option fails the slot is
 /// substituted with the next one, preserving the slot's position in the
-/// configuration.  Commits automatically once every live slot checks in.
+/// configuration.  Commits automatically once the request is
+/// barrier_ready().
 class AlternativesAgent {
  public:
   AlternativesAgent(Coallocator& mechanisms,

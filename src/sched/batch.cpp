@@ -24,6 +24,25 @@ QueueSummary summarize(const QueueSnapshot& snapshot) {
   return s;
 }
 
+util::Status check_descriptor(const JobDescriptor& job, std::int32_t capacity,
+                              bool id_in_use) {
+  if (job.count < 1) {
+    return {util::ErrorCode::kInvalidArgument, "count must be >= 1"};
+  }
+  if (job.count > capacity) {
+    return {util::ErrorCode::kResourceExhausted,
+            "job needs " + std::to_string(job.count) + " processors, machine has " +
+                std::to_string(capacity)};
+  }
+  if (job.id == 0) {
+    return {util::ErrorCode::kInvalidArgument, "job id 0 is reserved"};
+  }
+  if (id_in_use) {
+    return {util::ErrorCode::kInvalidArgument, "duplicate job id"};
+  }
+  return util::Status::ok();
+}
+
 BatchScheduler::BatchScheduler(sim::Engine& engine, std::int32_t processors,
                                Backfill backfill)
     : engine_(&engine),
@@ -34,20 +53,12 @@ BatchScheduler::BatchScheduler(sim::Engine& engine, std::int32_t processors,
 
 util::Status BatchScheduler::submit(const JobDescriptor& job, StartFn on_start,
                                     EndFn on_end) {
-  if (job.count < 1) {
-    return {util::ErrorCode::kInvalidArgument, "count must be >= 1"};
-  }
-  if (job.count > total_) {
-    return {util::ErrorCode::kResourceExhausted,
-            "job needs " + std::to_string(job.count) + " processors, machine has " +
-                std::to_string(total_)};
-  }
-  if (job.id == 0) {
-    return {util::ErrorCode::kInvalidArgument, "job id 0 is reserved"};
-  }
-  if (running_.find(job.id) != nullptr ||
-      queued_ids_.find(job.id) != sim::IdMap::kNotFound) {
-    return {util::ErrorCode::kInvalidArgument, "duplicate job id"};
+  if (auto st = check_descriptor(
+          job, total_,
+          running_.find(job.id) != nullptr ||
+              queued_ids_.find(job.id) != sim::IdMap::kNotFound);
+      !st.is_ok()) {
+    return st;
   }
   Queued q;
   q.desc = job;

@@ -1,5 +1,7 @@
 #include "sched/fork.hpp"
 
+#include <limits>
+
 namespace grid::sched {
 
 ForkScheduler::ForkScheduler(sim::Engine& engine,
@@ -11,11 +13,11 @@ ForkScheduler::ForkScheduler(sim::Engine& engine,
 
 util::Status ForkScheduler::submit(const JobDescriptor& job, StartFn on_start,
                                    EndFn on_end) {
-  if (job.count < 1) {
-    return {util::ErrorCode::kInvalidArgument, "count must be >= 1"};
-  }
-  if (jobs_.find(job.id) != nullptr) {
-    return {util::ErrorCode::kInvalidArgument, "duplicate job id"};
+  // Fork starts any count immediately: no capacity bound.
+  if (auto st = check_descriptor(job, std::numeric_limits<std::int32_t>::max(),
+                                 jobs_.find(job.id) != nullptr);
+      !st.is_ok()) {
+    return st;
   }
   Running r;
   r.desc = job;

@@ -15,24 +15,13 @@ ReferenceBackfill::ReferenceBackfill(sim::Engine& engine,
 
 util::Status ReferenceBackfill::submit(const JobDescriptor& job,
                                        StartFn on_start, EndFn on_end) {
-  if (job.count < 1) {
-    return {util::ErrorCode::kInvalidArgument, "count must be >= 1"};
-  }
-  if (job.count > total_) {
-    return {util::ErrorCode::kResourceExhausted,
-            "job needs " + std::to_string(job.count) + " processors, machine has " +
-                std::to_string(total_)};
-  }
-  if (job.id == 0) {
-    return {util::ErrorCode::kInvalidArgument, "job id 0 is reserved"};
-  }
-  if (running_.find(job.id) != nullptr) {
-    return {util::ErrorCode::kInvalidArgument, "duplicate job id"};
-  }
-  for (const Queued& entry : queue_) {  // the O(n) scan the IdMap replaced
-    if (entry.desc.id == job.id) {
-      return {util::ErrorCode::kInvalidArgument, "duplicate job id"};
-    }
+  const bool queued =  // the O(n) scan the IdMap replaced
+      std::any_of(queue_.begin(), queue_.end(),
+                  [&](const Queued& q) { return q.desc.id == job.id; });
+  if (auto st = check_descriptor(job, total_,
+                                 queued || running_.find(job.id) != nullptr);
+      !st.is_ok()) {
+    return st;
   }
   Queued q;
   q.desc = job;

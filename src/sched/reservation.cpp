@@ -18,6 +18,12 @@ sim::Time ReservationScheduler::job_estimate(const JobDescriptor& d) const {
   return default_estimate_;
 }
 
+bool ReservationScheduler::has_job(JobId id) const {
+  return running_.find(id) != nullptr ||
+         std::any_of(queue_.begin(), queue_.end(),
+                     [id](const Queued& q) { return q.desc.id == id; });
+}
+
 sim::Time ReservationScheduler::horizon(sim::Time now, sim::Time length) const {
   return length >= sim::kTimeNever - now ? sim::kTimeNever : now + length;
 }
@@ -104,6 +110,9 @@ util::Status ReservationScheduler::submit_reserved(const JobDescriptor& job,
   if (it == reservations_.end()) {
     return {util::ErrorCode::kNotFound, "unknown reservation"};
   }
+  if (auto st = check_descriptor(job, total_, has_job(job.id)); !st.is_ok()) {
+    return st;
+  }
   if (job.count > it->count) {
     return {util::ErrorCode::kResourceExhausted,
             "job exceeds reservation capacity"};
@@ -124,11 +133,8 @@ util::Status ReservationScheduler::submit_reserved(const JobDescriptor& job,
 
 util::Status ReservationScheduler::submit(const JobDescriptor& job,
                                           StartFn on_start, EndFn on_end) {
-  if (job.count < 1) {
-    return {util::ErrorCode::kInvalidArgument, "count must be >= 1"};
-  }
-  if (job.count > total_) {
-    return {util::ErrorCode::kResourceExhausted, "job exceeds machine size"};
+  if (auto st = check_descriptor(job, total_, has_job(job.id)); !st.is_ok()) {
+    return st;
   }
   Queued q;
   q.desc = job;

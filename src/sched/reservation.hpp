@@ -104,6 +104,8 @@ class ReservationScheduler final : public LocalScheduler {
   void start(Queued&& q);
   void end_running(JobId id, EndReason reason);
   sim::Time job_estimate(const JobDescriptor& d) const;
+  /// Whether `id` is queued or running (O(queue depth), like cancel()).
+  bool has_job(JobId id) const;
   /// `now + length` saturated at the end of time.
   sim::Time horizon(sim::Time now, sim::Time length) const;
 

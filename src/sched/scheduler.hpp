@@ -79,6 +79,12 @@ struct QueueSummary {
 /// concrete schedulers override summary() with O(1) incremental state).
 QueueSummary summarize(const QueueSnapshot& snapshot);
 
+/// The descriptor rules every scheduler applies at submit, in this order:
+/// count >= 1 (kInvalidArgument), count <= capacity (kResourceExhausted),
+/// id != 0 and not already queued or running (kInvalidArgument).
+util::Status check_descriptor(const JobDescriptor& job, std::int32_t capacity,
+                              bool id_in_use);
+
 class LocalScheduler {
  public:
   /// Invoked when the scheduler allocates processors and starts the job.

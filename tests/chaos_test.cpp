@@ -23,7 +23,6 @@
 
 #include "app/behaviors.hpp"
 #include "app/failure.hpp"
-#include "core/duroc.hpp"
 #include "core/grab.hpp"
 #include "core/monitor.hpp"
 #include "simkit/trialpool.hpp"
@@ -175,13 +174,14 @@ Outcome run_grab_trial(Schedule schedule, std::uint64_t seed) {
   Outcome out;
   auto allocated = grab.allocate(
       trial.rsl({"required"}),
-      {.on_started =
+      {.on_subjob = nullptr,
+       .on_released =
            [&](const core::RuntimeConfig&) {
              if (out.terminals > 0) out.release_after_terminal = true;
              ++out.releases;
              out.released_at = trial.grid->engine().now();
            },
-       .on_done =
+       .on_terminal =
            [&](const util::Status& status) {
              ++out.terminals;
              out.ok = status.is_ok();
@@ -203,7 +203,6 @@ Outcome run_grab_trial(Schedule schedule, std::uint64_t seed) {
 
 Outcome run_duroc_trial(Schedule schedule, std::uint64_t seed) {
   ChaosTrial trial(4, seed);
-  core::DurocAllocator duroc(*trial.mech);
   Outcome out;
   core::RequestCallbacks cbs;
   cbs.on_released = [&](const core::RuntimeConfig&) {
@@ -216,7 +215,7 @@ Outcome run_duroc_trial(Schedule schedule, std::uint64_t seed) {
     out.ok = status.is_ok();
     out.finished_at = trial.grid->engine().now();
   };
-  core::CoallocationRequest* req = duroc.create_request(std::move(cbs));
+  core::CoallocationRequest* req = trial.mech->create_request(std::move(cbs));
   // Mixed categories: one failure-sensitive subjob, one repairable, two
   // that must never block or kill the ensemble.
   EXPECT_TRUE(req->add_rsl(trial.rsl({"required", "interactive", "optional",
@@ -224,7 +223,8 @@ Outcome run_duroc_trial(Schedule schedule, std::uint64_t seed) {
                   .is_ok());
   req->start();
   EXPECT_TRUE(req->commit().is_ok());
-  auto detector = duroc.watch(req->id(), chaos_heartbeats());
+  core::HeartbeatDetector detector(*trial.mech, req->id(), chaos_heartbeats());
+  detector.start();
   sim::Rng rng(seed ^ 0xd00cbeef);
   trial.apply(schedule, rng);
   trial.grid->run_until(kHorizon);
@@ -325,8 +325,9 @@ TEST(ChaosDetector, QuietNetworkProducesNoVerdicts) {
     Outcome out;
     auto allocated = grab.allocate(
         trial.rsl({"required"}),
-        {.on_started = [&](const core::RuntimeConfig&) { ++out.releases; },
-         .on_done =
+        {.on_subjob = nullptr,
+         .on_released = [&](const core::RuntimeConfig&) { ++out.releases; },
+         .on_terminal =
              [&](const util::Status& status) {
                ++out.terminals;
                out.ok = status.is_ok();
@@ -356,8 +357,9 @@ TEST(ChaosDetector, SlowNodeIsNotKilledWhileTimeoutsStillExpire) {
   Outcome out;
   auto allocated = grab.allocate(
       trial.rsl({"required"}),
-      {.on_started = [&](const core::RuntimeConfig&) { ++out.releases; },
-       .on_done =
+      {.on_subjob = nullptr,
+       .on_released = [&](const core::RuntimeConfig&) { ++out.releases; },
+       .on_terminal =
            [&](const util::Status& status) {
              ++out.terminals;
              out.ok = status.is_ok();
@@ -389,8 +391,9 @@ TEST(ChaosDetector, PartitionedManagerAbortsFastInGrab) {
   Outcome out;
   auto allocated = grab.allocate(
       testbed::rsl_multi(subs),
-      {.on_started = [&](const core::RuntimeConfig&) { ++out.releases; },
-       .on_done =
+      {.on_subjob = nullptr,
+       .on_released = [&](const core::RuntimeConfig&) { ++out.releases; },
+       .on_terminal =
            [&](const util::Status& status) {
              ++out.terminals;
              out.ok = status.is_ok();
@@ -414,7 +417,6 @@ TEST(ChaosDetector, OptionalDeathAfterReleaseDegradesDuroc) {
   // Post-commit graceful degradation: an optional subjob's manager dies
   // after release; the ensemble reports kDegraded and runs to completion.
   ChaosTrial trial(2, 21);
-  core::DurocAllocator duroc(*trial.mech);
   core::EnsembleMonitor monitor;
   Outcome out;
   core::RequestCallbacks user;
@@ -427,7 +429,7 @@ TEST(ChaosDetector, OptionalDeathAfterReleaseDegradesDuroc) {
     out.ok = status.is_ok();
   };
   core::CoallocationRequest* req =
-      duroc.create_request(monitor.wrap(std::move(user)));
+      trial.mech->create_request(monitor.wrap(std::move(user)));
   monitor.bind(req);
   std::vector<std::string> subs = {
       testbed::rsl_subjob("site1", 4, "sim", "required"),
@@ -437,7 +439,8 @@ TEST(ChaosDetector, OptionalDeathAfterReleaseDegradesDuroc) {
   ASSERT_TRUE(req->commit().is_ok());
   auto hb = chaos_heartbeats();
   hb.monitor_released = true;
-  auto detector = duroc.watch(req->id(), hb);
+  core::HeartbeatDetector detector(*trial.mech, req->id(), hb);
+  detector.start();
   // The apps release within ~1 s and run for 30 s; cut the optional
   // manager off well inside the run window.
   trial.inject->partition_between(trial.mech->endpoint().id(),
@@ -447,7 +450,7 @@ TEST(ChaosDetector, OptionalDeathAfterReleaseDegradesDuroc) {
   EXPECT_EQ(out.releases, 1);
   EXPECT_EQ(out.terminals, 1);
   EXPECT_TRUE(out.ok);  // the ensemble survived the optional death
-  EXPECT_GE(detector->verdicts(), 1u);
+  EXPECT_GE(detector.verdicts(), 1u);
   bool degraded = false;
   for (core::GlobalEvent e : monitor.history()) {
     if (e == core::GlobalEvent::kDegraded) degraded = true;
@@ -477,12 +480,13 @@ Outcome run_checkin_loss_trial(sim::Time resend_period, std::uint64_t seed) {
   Outcome out;
   auto allocated = grab.allocate(
       testbed::rsl_multi(subs),
-      {.on_started =
+      {.on_subjob = nullptr,
+       .on_released =
            [&](const core::RuntimeConfig&) {
              ++out.releases;
              out.released_at = trial.grid->engine().now();
            },
-       .on_done =
+       .on_terminal =
            [&](const util::Status& status) {
              ++out.terminals;
              out.ok = status.is_ok();

@@ -228,15 +228,13 @@ TEST(CoallocationEdge, SerializeUntilCheckinOrdersSubjobsStrictly) {
 
 TEST(CoallocationEdge, LivenessProbeDetectsDeadHostEarly) {
   // Without probing, a host that dies after accepting the job is only
-  // detected at the startup deadline (30 min here).  With probing every
-  // 10 s, the failure surfaces within ~half a minute.
+  // detected at the startup deadline (30 min here).  With a heartbeat
+  // every 10 s, the failure surfaces within ~half a minute.
   SmallGrid g(2, testbed::CostModel::fast(),
               app::StartupProfile{.init_delay = 10 * sim::kMinute});
   core::RequestConfig config;
   config.startup_timeout = 30 * sim::kMinute;
   config.rpc_timeout = 5 * sim::kSecond;
-  config.liveness_probe_interval = 10 * sim::kSecond;
-  config.liveness_failures_allowed = 2;
   Outcome outcome;
   util::Status failure;
   auto cbs = outcome.callbacks();
@@ -248,6 +246,13 @@ TEST(CoallocationEdge, LivenessProbeDetectsDeadHostEarly) {
   auto* req = g.coallocator->create_request(cbs, config);
   req->add_rsl(g.rsl(4, "required"));
   req->commit();
+  // Two consecutive unanswered beats are a dead verdict.
+  core::HeartbeatDetector detector(*g.coallocator, req->id(),
+                                   {.interval = 10 * sim::kSecond,
+                                    .beat_timeout = 5 * sim::kSecond,
+                                    .misses_to_dead = 2,
+                                    .monitor_released = false});
+  detector.start();
   // host2 dies while its application initializes.
   g.grid->engine().schedule_at(5 * sim::kSecond,
                                [&] { g.grid->host("host2")->crash(); });
@@ -260,19 +265,23 @@ TEST(CoallocationEdge, LivenessProbeDetectsDeadHostEarly) {
 }
 
 TEST(CoallocationEdge, LivenessProbeToleratesTransientLoss) {
-  // A short network outage must not kill the subjob if probes recover
-  // within the allowed failure budget.
+  // A short network outage must not kill the subjob if beats recover
+  // within the allowed miss budget.
   SmallGrid g(1, testbed::CostModel::fast(),
               app::StartupProfile{.init_delay = 2 * sim::kMinute});
   core::RequestConfig config;
   config.startup_timeout = 30 * sim::kMinute;
   config.rpc_timeout = 2 * sim::kSecond;
-  config.liveness_probe_interval = 10 * sim::kSecond;
-  config.liveness_failures_allowed = 3;
   Outcome outcome;
   auto* req = g.coallocator->create_request(outcome.callbacks(), config);
   req->add_rsl(g.rsl(4, "required"));
   req->commit();
+  core::HeartbeatDetector detector(*g.coallocator, req->id(),
+                                   {.interval = 10 * sim::kSecond,
+                                    .beat_timeout = 2 * sim::kSecond,
+                                    .misses_to_dead = 3,
+                                    .monitor_released = false});
+  detector.start();
   // One probe window of total loss (~12 s): at most 1-2 misses, then
   // recovery.
   app::FailureInjector chaos(g.grid->network());
@@ -280,6 +289,9 @@ TEST(CoallocationEdge, LivenessProbeToleratesTransientLoss) {
   g.grid->run();
   EXPECT_TRUE(outcome.released);
   EXPECT_TRUE(outcome.status.is_ok());
+  // The outage was seen, but stayed inside the miss budget.
+  EXPECT_GE(detector.beats_missed(), 1u);
+  EXPECT_EQ(detector.verdicts(), 0u);
 }
 
 TEST(CoallocationEdge, DestroyRequestMidFlightIsSafe) {

@@ -16,7 +16,9 @@
 //       successful check-ins; every released process belongs to the final
 //       configuration);
 //   P5  the simulation is deterministic: re-running the same seed gives
-//       identical outcomes and virtual end times.
+//       identical outcomes and virtual end times;
+//   P7  the request's incrementally maintained aggregate() equals a
+//       recount over its subjob() views.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -40,7 +42,8 @@ struct TrialResult {
   std::int64_t checkins_ok = 0;
   std::int64_t aborts = 0;
   bool required_failed_pre_release = false;
-  std::vector<core::SubjobView> views;
+  std::vector<core::SubjobView> views;  // every slot, insertion order
+  core::CoallocationRequest::SubjobAggregate aggregate;
 };
 
 TrialResult run_trial(std::uint64_t seed) {
@@ -78,7 +81,6 @@ TrialResult run_trial(std::uint64_t seed) {
   cbs.on_terminal = [&](const util::Status& s) { result.status = s; };
   auto* req = coallocator->create_request(cbs, config);
 
-  std::vector<core::SubjobHandle> handles;
   cbs.on_subjob = nullptr;
   const int subjobs = static_cast<int>(rng.uniform_int(1, hosts));
   for (int i = 0; i < subjobs; ++i) {
@@ -88,8 +90,7 @@ TrialResult run_trial(std::uint64_t seed) {
     j.executable = "app" + std::to_string(host);
     j.count = static_cast<std::int32_t>(rng.uniform_int(1, 8));
     j.start_type = static_cast<rsl::SubjobStartType>(rng.uniform_int(0, 2));
-    auto added = req->add_subjob(std::move(j));
-    if (added.is_ok()) handles.push_back(added.value());
+    req->add_subjob(std::move(j));
   }
   // Occasionally crash a host mid-allocation.
   if (rng.chance(0.3)) {
@@ -103,7 +104,7 @@ TrialResult run_trial(std::uint64_t seed) {
   grid.run_until(sim::kHour);  // generous cap; everything resolves earlier
 
   // Detect "required failed before release".
-  for (core::SubjobHandle h : handles) {
+  for (core::SubjobHandle h : req->subjobs()) {
     auto view = req->subjob(h);
     if (!view.is_ok()) continue;
     result.views.push_back(view.value());
@@ -112,6 +113,7 @@ TrialResult run_trial(std::uint64_t seed) {
       result.required_failed_pre_release = true;
     }
   }
+  result.aggregate = req->aggregate();
   result.state = req->state();
   result.end_time = grid.engine().now();
   result.releases = stats.releases;
@@ -168,6 +170,26 @@ TEST_P(CoallocationProperty, InvariantsHoldUnderRandomFailures) {
 
     // P4: accounting.
     EXPECT_LE(r.releases, r.checkins_ok);
+
+    // P7: aggregate bookkeeping.
+    core::CoallocationRequest::SubjobAggregate recount;
+    for (const auto& v : r.views) {
+      ++recount.by_state[static_cast<std::size_t>(v.state)];
+      if (v.state == SubjobState::kFailed ||
+          v.state == SubjobState::kDeleted) {
+        continue;
+      }
+      ++recount.live_subjobs;
+      recount.live_processes += v.count;
+      if (v.state == SubjobState::kReleased ||
+          v.state == SubjobState::kDone) {
+        recount.released_processes += v.count;
+      }
+    }
+    EXPECT_EQ(r.aggregate.by_state, recount.by_state);
+    EXPECT_EQ(r.aggregate.live_subjobs, recount.live_subjobs);
+    EXPECT_EQ(r.aggregate.live_processes, recount.live_processes);
+    EXPECT_EQ(r.aggregate.released_processes, recount.released_processes);
 
     // P5: determinism.
     const TrialResult again = run_trial(seed);
@@ -230,12 +252,13 @@ TEST_P(GrabAtomicity, AllOrNothingUnderRandomFailures) {
     std::int32_t released_processes = -1;
     auto id = grab.allocate(
         std::move(subjobs),
-        {.on_started =
+        {.on_subjob = nullptr,
+         .on_released =
              [&](const core::RuntimeConfig& c) {
                started = true;
                released_processes = c.total_processes;
              },
-         .on_done = [&](const util::Status& s) { done = s; }},
+         .on_terminal = [&](const util::Status& s) { done = s; }},
         config);
     ASSERT_TRUE(id.is_ok());
     grid.run_until(sim::kHour);

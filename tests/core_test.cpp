@@ -450,11 +450,12 @@ TEST(Grab, AllocatesAtomically) {
   bool started = false;
   util::Status done(util::ErrorCode::kInternal, "unset");
   auto id = grab.allocate(g.rsl(8, "required"),
-                          {.on_started = [&](const core::RuntimeConfig& c) {
+                          {.on_subjob = nullptr,
+                           .on_released = [&](const core::RuntimeConfig& c) {
                              started = true;
                              EXPECT_EQ(c.total_processes, 24);
                            },
-                           .on_done = [&](const util::Status& s) { done = s; }});
+                           .on_terminal = [&](const util::Status& s) { done = s; }});
   ASSERT_TRUE(id.is_ok()) << id.status().to_string();
   g.grid->run();
   EXPECT_TRUE(started);
@@ -476,8 +477,9 @@ TEST(Grab, IgnoresStartTypesEverythingRequired) {
       testbed::rsl_subjob("host2", 4, "crasher", "optional"),
   });
   auto id = grab.allocate(
-      rsl, {.on_started = [&](const core::RuntimeConfig&) { started = true; },
-            .on_done = [&](const util::Status& s) { done = s; }});
+      rsl, {.on_subjob = nullptr,
+            .on_released = [&](const core::RuntimeConfig&) { started = true; },
+            .on_terminal = [&](const util::Status& s) { done = s; }});
   ASSERT_TRUE(id.is_ok());
   g.grid->run();
   EXPECT_FALSE(started);
@@ -499,8 +501,9 @@ TEST(Grab, CancelRollsBack) {
   util::Status done;
   auto id = grab.allocate(
       g.rsl(4, "required"),
-      {.on_started = [](const core::RuntimeConfig&) {},
-       .on_done = [&](const util::Status& s) { done = s; }});
+      {.on_subjob = nullptr,
+       .on_released = [](const core::RuntimeConfig&) {},
+       .on_terminal = [&](const util::Status& s) { done = s; }});
   ASSERT_TRUE(id.is_ok());
   g.grid->run_until(sim::kMinute);
   grab.cancel(id.value());

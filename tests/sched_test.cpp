@@ -106,6 +106,75 @@ TEST(ForkScheduler, RejectsBadDescriptors) {
   EXPECT_FALSE(s.submit(job(2, 1), ev.on_start(), ev.on_end()).is_ok());
 }
 
+// ---- descriptor validation shared by every scheduler ----------------------
+
+// Every scheduler rejects the same bad descriptors with the same codes:
+// count < 1, id 0 and a duplicate (queued or running) id are invalid
+// arguments; a count above the machine is resource exhaustion.
+TEST(LocalSchedulers, ApplyOneDescriptorCheck) {
+  sim::Engine e;
+  ForkScheduler fork(e, 0);
+  BatchScheduler batch(e, 8);
+  ReservationScheduler reservation(e, 8);
+  for (LocalScheduler* s :
+       std::vector<LocalScheduler*>{&fork, &batch, &reservation}) {
+    SCOPED_TRACE(s->policy());
+    Events ev;
+    EXPECT_EQ(s->submit(job(1, 0), ev.on_start(), ev.on_end()).code(),
+              util::ErrorCode::kInvalidArgument);
+    EXPECT_EQ(s->submit(job(0, 1), ev.on_start(), ev.on_end()).code(),
+              util::ErrorCode::kInvalidArgument);
+    // Job 2 occupies the whole machine and stays running; job 3 queues.
+    ASSERT_TRUE(s->submit(job(2, 8), ev.on_start(), ev.on_end()).is_ok());
+    ASSERT_TRUE(s->submit(job(3, 8), ev.on_start(), ev.on_end()).is_ok());
+    e.run();
+    ASSERT_EQ(ev.started.size(), s == &fork ? 2u : 1u);
+    EXPECT_EQ(s->submit(job(2, 1), ev.on_start(), ev.on_end()).code(),
+              util::ErrorCode::kInvalidArgument);
+    EXPECT_EQ(s->submit(job(3, 1), ev.on_start(), ev.on_end()).code(),
+              util::ErrorCode::kInvalidArgument);
+    if (s != &fork) {  // fork starts any count: no machine bound
+      EXPECT_EQ(s->submit(job(4, 9), ev.on_start(), ev.on_end()).code(),
+                util::ErrorCode::kResourceExhausted);
+    }
+  }
+}
+
+TEST(ReservationScheduler, RejectsDuplicateJobId) {
+  sim::Engine e;
+  ReservationScheduler s(e, 16);
+  Events ev;
+  ASSERT_TRUE(s.submit(job(7, 4), ev.on_start(), ev.on_end()).is_ok());
+  EXPECT_EQ(s.submit(job(7, 4), ev.on_start(), ev.on_end()).code(),
+            util::ErrorCode::kInvalidArgument);
+  e.run();
+  EXPECT_EQ(ev.started, (std::vector<JobId>{7}));
+}
+
+TEST(ReservationScheduler, BoundJobRejectsBadDescriptors) {
+  sim::Engine e;
+  ReservationScheduler s(e, 16);
+  auto r = s.reserve(10 * sim::kSecond, 20 * sim::kSecond, 8);
+  ASSERT_TRUE(r.is_ok());
+  const ReservationId rid = r.value().id;
+  Events ev;
+  EXPECT_EQ(s.submit_reserved(job(1, 0), rid, ev.on_start(), ev.on_end())
+                .code(),
+            util::ErrorCode::kInvalidArgument);
+  EXPECT_EQ(s.submit_reserved(job(0, 4), rid, ev.on_start(), ev.on_end())
+                .code(),
+            util::ErrorCode::kInvalidArgument);
+  ASSERT_TRUE(s.submit(job(2, 4), ev.on_start(), ev.on_end()).is_ok());
+  EXPECT_EQ(s.submit_reserved(job(2, 4), rid, ev.on_start(), ev.on_end())
+                .code(),
+            util::ErrorCode::kInvalidArgument);
+  EXPECT_EQ(s.submit_reserved(job(3, 9), rid, ev.on_start(), ev.on_end())
+                .code(),
+            util::ErrorCode::kResourceExhausted);
+  EXPECT_TRUE(
+      s.submit_reserved(job(3, 8), rid, ev.on_start(), ev.on_end()).is_ok());
+}
+
 // ---- FCFS batch ----------------------------------------------------------------
 
 TEST(BatchScheduler, RunsJobsFcfsWithinCapacity) {

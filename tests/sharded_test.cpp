@@ -238,12 +238,13 @@ TrialResult run_chaos_trial(Schedule schedule, std::uint64_t seed,
   }
   auto allocated = grab.allocate(
       testbed::rsl_multi(subs),
-      {.on_started =
+      {.on_subjob = nullptr,
+       .on_released =
            [&](const core::RuntimeConfig&) {
              ++out.releases;
              out.released_at = grid.engine().now();
            },
-       .on_done =
+       .on_terminal =
            [&](const util::Status& status) {
              ++out.terminals;
              out.ok = status.is_ok();
