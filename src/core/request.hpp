@@ -176,7 +176,8 @@ class GRID_HOT CoallocationRequest {
   };
 
   /// Cheap fixed-size view of one subjob slot: everything periodic
-  /// monitors (heartbeats, summaries) need, with no string copies.
+  /// monitors (heartbeats, summaries) and agent strategies need, with no
+  /// string copies.
   struct SubjobBrief {
     SubjobState state = SubjobState::kUnsubmitted;
     rsl::SubjobStartType start_type = rsl::SubjobStartType::kRequired;
