@@ -2,6 +2,7 @@
 // reservations), the queue-wait predictors, and the information service.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "sched/batch.hpp"
@@ -137,6 +138,100 @@ TEST(LocalSchedulers, ApplyOneDescriptorCheck) {
       EXPECT_EQ(s->submit(job(4, 9), ev.on_start(), ev.on_end()).code(),
                 util::ErrorCode::kResourceExhausted);
     }
+  }
+}
+
+// Every scheduler runs one job lifecycle: each way a job leaves (runtime
+// self-completion, wall-time kill, cancel while queued, cancel while
+// running, external complete) fires on_end exactly once with its reason;
+// version() moves at every observable change; summary() agrees with the
+// snapshot; and a space-shared machine never runs more than it has.
+TEST(LocalSchedulers, ShareOneJobLifecycle) {
+  sim::Engine e;
+  ForkScheduler fork(e, sim::kMillisecond);
+  BatchScheduler fcfs(e, 8);
+  BatchScheduler easy(e, 8, Backfill::kEasy);
+  ReservationScheduler reservation(e, 8);
+  for (LocalScheduler* s :
+       std::vector<LocalScheduler*>{&fork, &fcfs, &easy, &reservation}) {
+    SCOPED_TRACE(s->policy());
+    std::uint64_t version = s->version();
+    QueueSnapshot seen = s->snapshot();
+    auto observe = [&] {
+      const QueueSnapshot now = s->snapshot();
+      const QueueSummary sum = s->summary();
+      const QueueSummary derived = summarize(now);
+      EXPECT_EQ(sum.taken_at, derived.taken_at);
+      EXPECT_EQ(sum.total_processors, derived.total_processors);
+      EXPECT_EQ(sum.busy_processors, derived.busy_processors);
+      EXPECT_EQ(sum.queue_length, derived.queue_length);
+      EXPECT_EQ(sum.queued_work, derived.queued_work);
+      EXPECT_EQ(s->busy_processors(), now.busy_processors);
+      EXPECT_EQ(s->queue_length(), now.queued.size());
+      if (s != &fork) EXPECT_LE(s->busy_processors(), s->total_processors());
+      bool changed = now.busy_processors != seen.busy_processors ||
+                     now.total_processors != seen.total_processors ||
+                     now.queued.size() != seen.queued.size();
+      for (std::size_t i = 0; !changed && i < now.queued.size(); ++i) {
+        changed = now.queued[i].id != seen.queued[i].id;
+      }
+      EXPECT_GE(s->version(), version);
+      if (changed) EXPECT_GT(s->version(), version);
+      version = s->version();
+      seen = now;
+    };
+    std::vector<JobId> started;
+    std::vector<std::pair<JobId, EndReason>> ended;
+    auto on_start = [&](JobId id) {
+      started.push_back(id);
+      observe();
+    };
+    auto on_end = [&](JobId id, EndReason r) {
+      ended.emplace_back(id, r);
+      observe();
+    };
+    auto submit = [&](JobDescriptor d) {
+      ASSERT_TRUE(s->submit(d, on_start, on_end).is_ok());
+      observe();
+    };
+    // Whole-machine jobs, so each space-shared start queues the next.
+    submit(job(1, 8, 10 * sim::kSecond));  // completes by its runtime
+    JobDescriptor walled = job(2, 8);
+    walled.max_wall_time = 5 * sim::kSecond;
+    submit(walled);  // killed by its wall time
+    submit(job(3, 8));  // cancelled before it starts
+    EXPECT_TRUE(s->cancel(3));
+    observe();
+    e.run();
+    observe();
+    submit(job(4, 8));  // cancelled while running
+    submit(job(5, 8));  // completed by its owner
+    e.run();
+    EXPECT_TRUE(s->cancel(4));
+    observe();
+    e.run();
+    s->complete(5);
+    observe();
+    // Ended jobs are unknown: no second on_end.
+    s->complete(5);
+    EXPECT_FALSE(s->cancel(4));
+    EXPECT_FALSE(s->cancel(3));
+    e.run();
+    observe();
+
+    std::sort(started.begin(), started.end());
+    EXPECT_EQ(started, (std::vector<JobId>{1, 2, 4, 5}));
+    std::sort(ended.begin(), ended.end());
+    const std::vector<std::pair<JobId, EndReason>> want{
+        {1, EndReason::kCompleted},
+        {2, EndReason::kWallTimeExceeded},
+        {3, EndReason::kCancelled},
+        {4, EndReason::kCancelled},
+        {5, EndReason::kCompleted},
+    };
+    EXPECT_EQ(ended, want);
+    EXPECT_EQ(s->busy_processors(), 0);
+    EXPECT_EQ(s->queue_length(), 0u);
   }
 }
 
