@@ -1,8 +1,6 @@
 #include "sched/batch.hpp"
 
-#include <algorithm>
-
-#include "simkit/check.hpp"
+#include <string>
 
 namespace grid::sched {
 
@@ -45,33 +43,22 @@ util::Status check_descriptor(const JobDescriptor& job, std::int32_t capacity,
 
 BatchScheduler::BatchScheduler(sim::Engine& engine, std::int32_t processors,
                                Backfill backfill)
-    : engine_(&engine),
-      total_(processors),
-      free_(processors),
+    : JobLifecycle(engine, processors),
       backfill_(backfill),
       profile_(processors) {}
 
 util::Status BatchScheduler::submit(const JobDescriptor& job, StartFn on_start,
                                     EndFn on_end) {
-  if (auto st = check_descriptor(
-          job, total_,
-          running_.find(job.id) != nullptr ||
-              queued_ids_.find(job.id) != sim::IdMap::kNotFound);
-      !st.is_ok()) {
-    return st;
-  }
-  Queued q;
-  q.desc = job;
-  q.on_start = std::move(on_start);
-  q.on_end = std::move(on_end);
-  q.submitted_at = engine_->now();
-  q.queue_length_at_submit = static_cast<std::int32_t>(queue_.size());
-  q.queued_work_at_submit = current_queued_work();
+  if (auto st = check(job); !st.is_ok()) return st;
+  // Work ahead of the job: the queued work plus the remaining work of
+  // running jobs (an integral over the profile, with never-ending
+  // occupancies excluded the way the seed scan skipped unknown ends).
+  const SubmitLoad load{
+      static_cast<std::int32_t>(queue_.size()),
+      summary().queued_work +
+          profile_.busy_work_after(engine_->now(), unknown_busy_)};
   const bool was_blocked = !queue_.empty();
-  queue_.push_back(std::move(q));
-  queued_ids_.insert(job.id, 1);
-  queued_work_ += static_cast<std::int64_t>(job.count) * job.estimated_runtime;
-  ++version_;
+  enqueue(job, std::move(on_start), std::move(on_end), load);
   if (was_blocked && !scheduling_) {
     // The head was already blocked and nothing freed processors since the
     // last pass, so FCFS cannot start anything and only the new tail job
@@ -79,13 +66,13 @@ util::Status BatchScheduler::submit(const JobDescriptor& job, StartFn on_start,
     if (backfill_ == Backfill::kEasy) submit_fast_path();
     return util::Status::ok();
   }
-  try_schedule();
+  schedule();
   return util::Status::ok();
 }
 
 void BatchScheduler::submit_fast_path() {
-  if (!cache_valid_) {
-    try_schedule();
+  if (!cache_valid_ || cached_departures_ != departures_) {
+    schedule();
     return;
   }
   // Validity check: recompute the shadow state from the profile.  If it
@@ -99,48 +86,35 @@ void BatchScheduler::submit_fast_path() {
   const Profile::Fit fit = profile_.earliest_fit(now, head.desc.count);
   const std::int32_t extra = fit.free - head.desc.count;
   if (fit.at != cached_shadow_ || extra != cached_extra_) {
-    try_schedule();
+    schedule();
     return;
   }
-  Queued& cand = queue_.back();
-  if (cand.desc.count > free_) return;
+  const Queued& cand = queue_.back();
+  if (cand.desc.count > free_processors()) return;
   const sim::Time est = backfill_estimate(cand.desc);
   const bool ends_before_shadow = cached_shadow_ != sim::kTimeNever &&
                                   est > 0 && now + est <= cached_shadow_;
   const bool within_extra = cand.desc.count <= cached_extra_;
   if (!ends_before_shadow && !within_extra) return;
   if (!ends_before_shadow) cached_extra_ -= cand.desc.count;
-  Queued q = std::move(cand);
-  queue_.pop_back();
   // The admission continues the pass that cached the shadow state, so the
   // start runs under the same re-entrancy discipline as a full pass: an
   // end inside the start callback must not trigger a nested fresh pass.
   scheduling_ = true;
-  const std::uint64_t gen = state_gen_;
-  const std::size_t stable_size = queue_.size();
-  start(std::move(q));
-  if (state_gen_ != gen || queue_.size() != stable_size) {
+  const std::uint64_t gen = departures_;
+  const std::size_t stable_size = queue_.size() - 1;
+  start(queue_.end() - 1);
+  if (departures_ != gen || queue_.size() != stable_size) {
     // The start callback ended, cancelled, or submitted jobs re-entrantly.
     // Finish the pass the way the oracle would: rescan the whole queue
     // under the still-frozen shadow state.
     const std::int32_t final_extra =
         backfill_scan(now, cached_shadow_, cached_extra_);
-    if (state_gen_ == gen) {
-      cached_extra_ = final_extra;  // only submits happened; cache holds
-    } else {
-      cache_valid_ = false;  // shadow may be stale; next submit rescans
-    }
+    // Only submits happened: the cache holds.  After an end or cancel the
+    // departure count no longer matches it, so the next submit rescans.
+    if (departures_ == gen) cached_extra_ = final_extra;
   }
   scheduling_ = false;
-}
-
-std::int64_t BatchScheduler::current_queued_work() const {
-  // Queued work is maintained incrementally; the remaining work of running
-  // jobs (which also delays newcomers) is an integral over the profile,
-  // with never-ending occupancies excluded the way the seed scan skipped
-  // unknown estimated ends.
-  return queued_work_ +
-         profile_.busy_work_after(engine_->now(), unknown_busy_);
 }
 
 sim::Time BatchScheduler::estimated_end(const JobDescriptor& d,
@@ -159,20 +133,14 @@ sim::Time BatchScheduler::estimated_end(const JobDescriptor& d,
   return started + length;
 }
 
-void BatchScheduler::try_schedule() {
+void BatchScheduler::schedule() {
   if (scheduling_) return;  // start callbacks may complete() synchronously
   scheduling_ = true;
   cache_valid_ = false;
   profile_.advance_to(engine_->now());
-  for (;;) {
-    // FCFS: start head jobs while they fit.
-    if (!queue_.empty() && queue_.front().desc.count <= free_) {
-      Queued q = std::move(queue_.front());
-      queue_.pop_front();
-      start(std::move(q));
-      continue;
-    }
-    break;
+  // FCFS: start head jobs while they fit.
+  while (!queue_.empty() && queue_.front().desc.count <= free_processors()) {
+    start(queue_.begin());
   }
   if (backfill_ == Backfill::kEasy && !queue_.empty()) {
     // Shadow state: the earliest instant the head job could start assuming
@@ -183,10 +151,11 @@ void BatchScheduler::try_schedule() {
     const std::int32_t head_count = queue_.front().desc.count;
     const Profile::Fit fit = profile_.earliest_fit(now, head_count);
     const sim::Time shadow = fit.at;
-    const std::uint64_t pass_gen = state_gen_;
+    const std::uint64_t pass_gen = departures_;
     const std::int32_t extra = backfill_scan(now, shadow, fit.free - head_count);
-    if (state_gen_ == pass_gen && !queue_.empty()) {
+    if (departures_ == pass_gen && !queue_.empty()) {
       cache_valid_ = true;
+      cached_departures_ = departures_;
       cached_shadow_ = shadow;
       cached_extra_ = extra;
     }
@@ -199,8 +168,8 @@ std::int32_t BatchScheduler::backfill_scan(sim::Time now, sim::Time shadow,
   // Backfill jobs behind the head that fit now and either end by the shadow
   // time or use only the head job's spare processors.
   for (std::size_t i = 1; i < queue_.size();) {
-    Queued& cand = queue_[i];
-    if (cand.desc.count > free_) {
+    const Queued& cand = queue_[i];
+    if (cand.desc.count > free_processors()) {
       ++i;
       continue;
     }
@@ -213,63 +182,30 @@ std::int32_t BatchScheduler::backfill_scan(sim::Time now, sim::Time shadow,
       continue;
     }
     if (!ends_before_shadow) extra -= cand.desc.count;
-    Queued q = std::move(cand);
-    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
-    const std::uint64_t gen = state_gen_;
-    start(std::move(q));
+    const std::uint64_t gen = departures_;
+    start(queue_.begin() + static_cast<std::ptrdiff_t>(i));
     // Starting a job only tightens the admission conditions, so the scan
     // continues in place — unless the start callback ended or cancelled a
     // job re-entrantly, where the oracle scan's restart-from-the-front
     // behaviour is reproduced exactly.
-    if (state_gen_ != gen) i = 1;
+    if (departures_ != gen) i = 1;
   }
   return extra;
 }
 
-void BatchScheduler::start(Queued&& q) {
-  free_ -= q.desc.count;
-  ++version_;
-  queued_work_ -=
-      static_cast<std::int64_t>(q.desc.count) * q.desc.estimated_runtime;
-  Running r;
-  r.desc = q.desc;
-  r.on_end = std::move(q.on_end);
-  r.started_at = engine_->now();
-  r.est_end = estimated_end(r.desc, r.started_at);
-  const JobId id = q.desc.id;
-  queued_ids_.erase(id);
+void BatchScheduler::occupy(const Queued& q, Running& r) {
+  const sim::Time now = engine_->now();
+  r.est_end = estimated_end(r.desc, now);
   if (history_.size() < history_capacity_) {
-    history_.push_back(WaitObservation{q.submitted_at, r.started_at,
-                                       q.desc.count, q.queue_length_at_submit,
-                                       q.queued_work_at_submit});
+    history_.push_back(WaitObservation{q.submitted_at, now, q.desc.count,
+                                       q.tag.queue_length,
+                                       q.tag.queued_work});
   }
-  profile_.reserve(r.started_at, r.est_end, r.desc.count);
+  profile_.reserve(now, r.est_end, r.desc.count);
   if (r.est_end == sim::kTimeNever) unknown_busy_ += r.desc.count;
-  Running& slot = running_.emplace(id, std::move(r));
-  if (slot.desc.runtime > 0) {
-    slot.runtime_event = engine_->schedule_after(
-        slot.desc.runtime,
-        [this, id] { end_running(id, EndReason::kCompleted); });
-  }
-  if (slot.desc.max_wall_time > 0) {
-    slot.wall_event = engine_->schedule_after(slot.desc.max_wall_time, [this, id] {
-      end_running(id, EndReason::kWallTimeExceeded);
-    });
-  }
-  if (q.on_start) q.on_start(id);
 }
 
-void BatchScheduler::end_running(JobId id, EndReason reason) {
-  Running* found = running_.find(id);
-  if (found == nullptr) return;
-  Running r = std::move(*found);
-  running_.erase(id);
-  engine_->cancel(r.runtime_event);
-  engine_->cancel(r.wall_event);
-  free_ += r.desc.count;
-  ++state_gen_;
-  ++version_;
-  cache_valid_ = false;
+void BatchScheduler::vacate(const Running& r) {
   const sim::Time now = engine_->now();
   if (r.est_end > now) {
     // Return the unused tail of the job's estimated occupancy; a job that
@@ -277,62 +213,6 @@ void BatchScheduler::end_running(JobId id, EndReason reason) {
     profile_.release(now, r.est_end, r.desc.count);
   }
   if (r.est_end == sim::kTimeNever) unknown_busy_ -= r.desc.count;
-  if (r.on_end) r.on_end(id, reason);
-  try_schedule();
-}
-
-void BatchScheduler::complete(JobId id) {
-  end_running(id, EndReason::kCompleted);
-}
-
-bool BatchScheduler::cancel(JobId id) {
-  if (queued_ids_.find(id) != sim::IdMap::kNotFound) {
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (it->desc.id == id) {
-        Queued q = std::move(*it);
-        queue_.erase(it);
-        queued_ids_.erase(id);
-        queued_work_ -=
-            static_cast<std::int64_t>(q.desc.count) * q.desc.estimated_runtime;
-        ++state_gen_;          // an in-pass scan must not trust its indices
-        ++version_;
-        cache_valid_ = false;  // the head (and thus the shadow) may change
-        if (q.on_end) q.on_end(id, EndReason::kCancelled);
-        try_schedule();  // removing a stuck head job may unblock others
-        return true;
-      }
-    }
-    GRID_CHECK(false, "queued_ids_ out of sync with the queue");
-  }
-  if (running_.find(id) != nullptr) {
-    end_running(id, EndReason::kCancelled);
-    return true;
-  }
-  return false;
-}
-
-QueueSummary BatchScheduler::summary() const {
-  QueueSummary s;
-  s.taken_at = engine_->now();
-  s.total_processors = total_;
-  s.busy_processors = total_ - free_;
-  s.queue_length = static_cast<std::uint32_t>(queue_.size());
-  s.queued_work = queued_work_;  // maintained incrementally by submit/start
-  return s;
-}
-
-QueueSnapshot BatchScheduler::snapshot() const {
-  QueueSnapshot s;
-  s.taken_at = engine_->now();
-  s.total_processors = total_;
-  s.busy_processors = total_ - free_;
-  s.queued.reserve(queue_.size());
-  for (const Queued& q : queue_) {
-    s.queued.push_back(QueuedJobInfo{q.desc.id, q.desc.count,
-                                     q.desc.estimated_runtime,
-                                     q.submitted_at});
-  }
-  return s;
 }
 
 }  // namespace grid::sched

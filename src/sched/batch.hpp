@@ -14,11 +14,8 @@
 // randomized workloads forever.
 #pragma once
 
-#include <deque>
-
+#include "sched/lifecycle.hpp"
 #include "sched/profile.hpp"
-#include "sched/scheduler.hpp"
-#include "simkit/idmap.hpp"
 
 namespace grid::sched {
 
@@ -27,22 +24,20 @@ enum class Backfill {
   kEasy,  // EASY: backfill only if the head job's start is not delayed
 };
 
-class BatchScheduler final : public LocalScheduler {
+/// The queue a batch job saw at submit, kept for its wait observation.
+struct SubmitLoad {
+  std::int32_t queue_length = 0;
+  std::int64_t queued_work = 0;  // processor-ns ahead of the job
+};
+
+class BatchScheduler final : public JobLifecycle<SubmitLoad> {
  public:
   BatchScheduler(sim::Engine& engine, std::int32_t processors,
                  Backfill backfill = Backfill::kNone);
 
   util::Status submit(const JobDescriptor& job, StartFn on_start,
                       EndFn on_end) override;
-  void complete(JobId id) override;
-  bool cancel(JobId id) override;
 
-  std::int32_t total_processors() const override { return total_; }
-  std::int32_t busy_processors() const override { return total_ - free_; }
-  std::size_t queue_length() const override { return queue_.size(); }
-  QueueSnapshot snapshot() const override;
-  QueueSummary summary() const override;
-  std::uint64_t version() const override { return version_; }
   std::string policy() const override {
     return backfill_ == Backfill::kEasy ? "easy-backfill" : "fcfs";
   }
@@ -69,63 +64,41 @@ class BatchScheduler final : public LocalScheduler {
   const Profile& profile() const { return profile_; }
 
  private:
-  struct Queued {
-    JobDescriptor desc;
-    StartFn on_start;
-    EndFn on_end;
-    sim::Time submitted_at = 0;
-    std::int32_t queue_length_at_submit = 0;
-    std::int64_t queued_work_at_submit = 0;
-  };
-  struct Running {
-    JobDescriptor desc;
-    EndFn on_end;
-    sim::Time started_at = 0;
-    sim::Time est_end = 0;  // profile occupancy end fixed at start time
-    sim::EventId runtime_event;
-    sim::EventId wall_event;
-  };
-
   /// Full scheduling pass: FCFS holds, then one EASY scan of the queue.
-  void try_schedule();
+  void schedule() override;
+  void occupy(const Queued& q, Running& r) override;
+  void vacate(const Running& r) override;
   /// The EASY scan under a frozen (shadow, extra): starts admissible
   /// candidates, returns the remaining extra.  Restarts from the front
   /// when a start callback ends a job re-entrantly (the seed scan shape).
   std::int32_t backfill_scan(sim::Time now, sim::Time shadow,
                              std::int32_t extra);
   /// O(log n) fast path for a submit into an already-blocked queue; falls
-  /// back to try_schedule() when the cached shadow state is stale.
+  /// back to schedule() when the cached shadow state is stale.
   void submit_fast_path();
-  void start(Queued&& q);
-  void end_running(JobId id, EndReason reason);
+  std::int32_t free_processors() const {
+    return total_processors() - busy_processors();
+  }
   /// Estimated completion if started at `started` (kTimeNever when
   /// unknown); saturates instead of overflowing.
   sim::Time estimated_end(const JobDescriptor& d, sim::Time started) const;
-  std::int64_t current_queued_work() const;
   /// Admission estimate for backfill: estimate else runtime (no wall
   /// fallback — mirrors the seed scan and the reference oracle).
   static sim::Time backfill_estimate(const JobDescriptor& d) {
     return d.estimated_runtime > 0 ? d.estimated_runtime : d.runtime;
   }
 
-  sim::Engine* engine_;
-  std::int32_t total_;
-  std::int32_t free_;
   Backfill backfill_;
-  std::deque<Queued> queue_;
-  sim::IdSlab<Running> running_;
-  sim::IdMap queued_ids_;  // queued job ids (duplicate/cancel lookups)
   Profile profile_;        // future free processors from running jobs
   std::int32_t unknown_busy_ = 0;  // running procs occupying to kTimeNever
-  std::int64_t queued_work_ = 0;   // sum of count*estimate over the queue
   std::vector<WaitObservation> history_;
   std::size_t history_capacity_ = static_cast<std::size_t>(-1);
-  bool scheduling_ = false;  // re-entrancy guard for try_schedule
-  std::uint64_t state_gen_ = 0;  // bumped by end_running (re-entrant ends)
-  std::uint64_t version_ = 1;    // dirty-flag counter (0 = untracked)
+  bool scheduling_ = false;  // re-entrancy guard for schedule()
   // Shadow state cached by the last full EASY pass that left the head
-  // blocked; lets a submit decide its own fate without rescanning.
+  // blocked; lets a submit decide its own fate without rescanning.  Any
+  // end or queued cancel since (departures_ moved) makes it stale.
   bool cache_valid_ = false;
+  std::uint64_t cached_departures_ = 0;
   sim::Time cached_shadow_ = 0;
   std::int32_t cached_extra_ = 0;
 };

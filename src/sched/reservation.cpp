@@ -7,7 +7,7 @@ namespace grid::sched {
 ReservationScheduler::ReservationScheduler(sim::Engine& engine,
                                            std::int32_t processors,
                                            sim::Time default_estimate)
-    : engine_(&engine), total_(processors),
+    : JobLifecycle(engine, processors),
       default_estimate_(default_estimate), res_(processors),
       commit_(processors) {}
 
@@ -16,12 +16,6 @@ sim::Time ReservationScheduler::job_estimate(const JobDescriptor& d) const {
   if (d.runtime > 0) return d.runtime;
   if (d.max_wall_time > 0) return d.max_wall_time;
   return default_estimate_;
-}
-
-bool ReservationScheduler::has_job(JobId id) const {
-  return running_.find(id) != nullptr ||
-         std::any_of(queue_.begin(), queue_.end(),
-                     [id](const Queued& q) { return q.desc.id == id; });
 }
 
 sim::Time ReservationScheduler::horizon(sim::Time now, sim::Time length) const {
@@ -42,15 +36,16 @@ util::Result<Reservation> ReservationScheduler::reserve(sim::Time start,
                                                         sim::Time end,
                                                         std::int32_t count) {
   const sim::Time now = engine_->now();
+  const std::int32_t total = total_processors();
   if (start < now) start = now;
   if (end <= start) {
     return util::Status(util::ErrorCode::kInvalidArgument,
                         "reservation window is empty");
   }
-  if (count < 1 || count > total_) {
+  if (count < 1 || count > total) {
     return util::Status(util::ErrorCode::kResourceExhausted,
                         "reservation for " + std::to_string(count) +
-                            " processors on a " + std::to_string(total_) +
+                            " processors on a " + std::to_string(total) +
                             "-processor machine");
   }
   // Admission: everywhere in the window, existing reservations plus the
@@ -71,18 +66,22 @@ util::Result<Reservation> ReservationScheduler::reserve(sim::Time start,
   commit_.reserve(start, end, count);
   // Window-start: start any bound jobs; window-end: reclaim and kill.  The
   // profile occupancies simply elapse at window end — nothing to return.
-  engine_->schedule_at(start, [this] { try_schedule(); });
+  engine_->schedule_at(start, [this] { schedule(); });
   engine_->schedule_at(end, [this, rid = r.id] {
-    std::vector<JobId> to_kill;
-    running_.for_each([&](JobId jid, const Running& run) {
-      if (run.reservation == rid) to_kill.push_back(jid);
-    });
-    for (JobId jid : to_kill) end_running(jid, EndReason::kWallTimeExceeded);
+    end_bound(rid, EndReason::kWallTimeExceeded);
     std::erase_if(reservations_,
                   [rid](const Reservation& x) { return x.id == rid; });
-    try_schedule();
+    schedule();
   });
   return r;
+}
+
+void ReservationScheduler::end_bound(ReservationId rid, EndReason reason) {
+  std::vector<JobId> bound;
+  running_.for_each([&](JobId jid, const Running& run) {
+    if (run.tag == rid) bound.push_back(jid);
+  });
+  for (JobId jid : bound) end(jid, reason);
 }
 
 bool ReservationScheduler::cancel_reservation(ReservationId id) {
@@ -90,14 +89,18 @@ bool ReservationScheduler::cancel_reservation(ReservationId id) {
       std::find_if(reservations_.begin(), reservations_.end(),
                    [id](const Reservation& r) { return r.id == id; });
   if (it == reservations_.end()) return false;
-  // Return the un-elapsed remainder of the window to both profiles.
-  const sim::Time from = std::max(engine_->now(), it->start);
-  if (from < it->end) {
-    res_.release(from, it->end, it->count);
-    commit_.release(from, it->end, it->count);
-  }
+  const Reservation r = *it;
   reservations_.erase(it);
-  try_schedule();
+  // Jobs still running in the window end before it is handed back: the
+  // freed capacity may be reserved again at once.
+  end_bound(id, EndReason::kCancelled);
+  // Return the un-elapsed remainder of the window to both profiles.
+  const sim::Time from = std::max(engine_->now(), r.start);
+  if (from < r.end) {
+    res_.release(from, r.end, r.count);
+    commit_.release(from, r.end, r.count);
+  }
+  schedule();
   return true;
 }
 
@@ -110,49 +113,21 @@ util::Status ReservationScheduler::submit_reserved(const JobDescriptor& job,
   if (it == reservations_.end()) {
     return {util::ErrorCode::kNotFound, "unknown reservation"};
   }
-  if (auto st = check_descriptor(job, total_, has_job(job.id)); !st.is_ok()) {
-    return st;
-  }
+  if (auto st = check(job); !st.is_ok()) return st;
   if (job.count > it->count) {
     return {util::ErrorCode::kResourceExhausted,
             "job exceeds reservation capacity"};
   }
-  Queued q;
-  q.desc = job;
-  q.on_start = std::move(on_start);
-  q.on_end = std::move(on_end);
-  q.submitted_at = engine_->now();
-  q.reservation = rid;
-  queued_work_ +=
-      static_cast<std::int64_t>(job.count) * job.estimated_runtime;
-  queue_.push_back(std::move(q));
-  ++version_;
-  try_schedule();
+  enqueue(job, std::move(on_start), std::move(on_end), rid);
+  schedule();
   return util::Status::ok();
 }
 
-util::Status ReservationScheduler::submit(const JobDescriptor& job,
-                                          StartFn on_start, EndFn on_end) {
-  if (auto st = check_descriptor(job, total_, has_job(job.id)); !st.is_ok()) {
-    return st;
-  }
-  Queued q;
-  q.desc = job;
-  q.on_start = std::move(on_start);
-  q.on_end = std::move(on_end);
-  q.submitted_at = engine_->now();
-  queued_work_ +=
-      static_cast<std::int64_t>(job.count) * job.estimated_runtime;
-  queue_.push_back(std::move(q));
-  ++version_;
-  try_schedule();
-  return util::Status::ok();
-}
-
-void ReservationScheduler::try_schedule() {
+void ReservationScheduler::schedule() {
   if (scheduling_) return;
   scheduling_ = true;
   const sim::Time now = engine_->now();
+  const std::int32_t total = total_processors();
   res_.advance_to(now);
   commit_.advance_to(now);
   bool progressed = true;
@@ -162,28 +137,20 @@ void ReservationScheduler::try_schedule() {
     // admission time, so they start the moment their window opens — they
     // are never gated behind the best-effort FCFS head.
     for (std::size_t i = 0; i < queue_.size(); ++i) {
-      Queued& q = queue_[i];
-      if (q.reservation == 0) continue;
+      const Queued& q = queue_[i];
+      if (q.tag == 0) continue;
       auto it = std::find_if(
           reservations_.begin(), reservations_.end(),
-          [&](const Reservation& r) { return r.id == q.reservation; });
+          [&](const Reservation& r) { return r.id == q.tag; });
+      const auto at = queue_.begin() + static_cast<std::ptrdiff_t>(i);
       if (it == reservations_.end()) {
         // Reservation expired or cancelled before the job could start.
-        Queued dead = std::move(q);
-        queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
-        queued_work_ -= static_cast<std::int64_t>(dead.desc.count) *
-                        dead.desc.estimated_runtime;
-        ++version_;
-        if (dead.on_end) dead.on_end(dead.desc.id, EndReason::kCancelled);
+        drop(at);
         progressed = true;
         break;
       }
       if (it->start <= now) {
-        Queued ready = std::move(q);
-        queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
-        queued_work_ -= static_cast<std::int64_t>(ready.desc.count) *
-                        ready.desc.estimated_runtime;
-        start(std::move(ready));
+        start(at);
         progressed = true;
         break;
       }
@@ -194,19 +161,15 @@ void ReservationScheduler::try_schedule() {
     // The peak reserved count over the job's estimated run is one range
     // query on the windows-only profile.
     for (std::size_t i = 0; i < queue_.size(); ++i) {
-      Queued& q = queue_[i];
-      if (q.reservation != 0) continue;
+      const Queued& q = queue_[i];
+      if (q.tag != 0) continue;
       const sim::Time est = job_estimate(q.desc);
       const sim::Time until = horizon(now, est);
       const std::int32_t reserved_peak =
-          until > now ? total_ - res_.min_free_over(now, until)
-                      : total_ - res_.free_at(now);
-      if (busy_best_ + q.desc.count + reserved_peak <= total_) {
-        Queued ready = std::move(q);
-        queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
-        queued_work_ -= static_cast<std::int64_t>(ready.desc.count) *
-                        ready.desc.estimated_runtime;
-        start(std::move(ready));
+          until > now ? total - res_.min_free_over(now, until)
+                      : total - res_.free_at(now);
+      if (busy_best_ + q.desc.count + reserved_peak <= total) {
+        start(queue_.begin() + static_cast<std::ptrdiff_t>(i));
         progressed = true;
       }
       break;  // FCFS: never look past the first best-effort job
@@ -215,103 +178,25 @@ void ReservationScheduler::try_schedule() {
   scheduling_ = false;
 }
 
-void ReservationScheduler::start(Queued&& q) {
-  busy_ += q.desc.count;
-  ++version_;
-  Running r;
-  r.desc = q.desc;
-  r.on_end = std::move(q.on_end);
-  r.started_at = engine_->now();
-  r.reservation = q.reservation;
-  if (q.reservation == 0) {
-    // A best-effort job commits its estimated tail so reservation
-    // admission sees it; reserved jobs are accounted by their window.
-    busy_best_ += q.desc.count;
-    r.est_end = horizon(r.started_at, job_estimate(r.desc));
-    commit_.reserve(r.started_at, r.est_end, r.desc.count);
-  }
-  const JobId id = q.desc.id;
-  Running& slot = running_.emplace(id, std::move(r));
-  if (slot.desc.runtime > 0) {
-    slot.runtime_event = engine_->schedule_after(
-        slot.desc.runtime,
-        [this, id] { end_running(id, EndReason::kCompleted); });
-  }
-  if (slot.desc.max_wall_time > 0) {
-    slot.wall_event = engine_->schedule_after(slot.desc.max_wall_time, [this, id] {
-      end_running(id, EndReason::kWallTimeExceeded);
-    });
-  }
-  if (q.on_start) q.on_start(id);
+void ReservationScheduler::occupy(const Queued& /*q*/, Running& r) {
+  // A best-effort job commits its estimated tail so reservation admission
+  // sees it; reserved jobs are accounted by their window.
+  if (r.tag != 0) return;
+  const sim::Time now = engine_->now();
+  busy_best_ += r.desc.count;
+  r.est_end = horizon(now, job_estimate(r.desc));
+  commit_.reserve(now, r.est_end, r.desc.count);
 }
 
-void ReservationScheduler::end_running(JobId id, EndReason reason) {
-  Running* found = running_.find(id);
-  if (found == nullptr) return;
-  Running r = std::move(*found);
-  running_.erase(id);
-  engine_->cancel(r.runtime_event);
-  engine_->cancel(r.wall_event);
-  busy_ -= r.desc.count;
-  ++version_;
-  if (r.reservation == 0) {
-    busy_best_ -= r.desc.count;
-    const sim::Time now = engine_->now();
-    if (r.est_end > now) {
-      // Return the unused committed tail; a job that ran past its
-      // estimate already elapsed out of the profile.
-      commit_.release(now, r.est_end, r.desc.count);
-    }
+void ReservationScheduler::vacate(const Running& r) {
+  if (r.tag != 0) return;
+  busy_best_ -= r.desc.count;
+  const sim::Time now = engine_->now();
+  if (r.est_end > now) {
+    // Return the unused committed tail; a job that ran past its estimate
+    // already elapsed out of the profile.
+    commit_.release(now, r.est_end, r.desc.count);
   }
-  if (r.on_end) r.on_end(id, reason);
-  try_schedule();
-}
-
-void ReservationScheduler::complete(JobId id) {
-  end_running(id, EndReason::kCompleted);
-}
-
-bool ReservationScheduler::cancel(JobId id) {
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (it->desc.id == id) {
-      Queued q = std::move(*it);
-      queue_.erase(it);
-      queued_work_ -= static_cast<std::int64_t>(q.desc.count) *
-                      q.desc.estimated_runtime;
-      ++version_;
-      if (q.on_end) q.on_end(id, EndReason::kCancelled);
-      try_schedule();
-      return true;
-    }
-  }
-  if (running_.find(id) != nullptr) {
-    end_running(id, EndReason::kCancelled);
-    return true;
-  }
-  return false;
-}
-
-QueueSummary ReservationScheduler::summary() const {
-  QueueSummary s;
-  s.taken_at = engine_->now();
-  s.total_processors = total_;
-  s.busy_processors = busy_;
-  s.queue_length = static_cast<std::uint32_t>(queue_.size());
-  s.queued_work = queued_work_;  // maintained incrementally at queue edits
-  return s;
-}
-
-QueueSnapshot ReservationScheduler::snapshot() const {
-  QueueSnapshot s;
-  s.taken_at = engine_->now();
-  s.total_processors = total_;
-  s.busy_processors = busy_;
-  for (const Queued& q : queue_) {
-    s.queued.push_back(QueuedJobInfo{q.desc.id, q.desc.count,
-                                     q.desc.estimated_runtime,
-                                     q.submitted_at});
-  }
-  return s;
 }
 
 }  // namespace grid::sched

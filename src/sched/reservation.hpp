@@ -21,12 +21,10 @@
 // and the profile's minimum over all breakpoints agree everywhere.
 #pragma once
 
-#include <deque>
 #include <vector>
 
+#include "sched/lifecycle.hpp"
 #include "sched/profile.hpp"
-#include "sched/scheduler.hpp"
-#include "simkit/idmap.hpp"
 
 namespace grid::sched {
 
@@ -39,7 +37,8 @@ struct Reservation {
   std::int32_t count = 0;
 };
 
-class ReservationScheduler final : public LocalScheduler {
+/// Each job's tag is the reservation it is bound to (0 = best-effort).
+class ReservationScheduler final : public JobLifecycle<ReservationId> {
  public:
   /// Jobs without estimates are assumed to run `default_estimate` when
   /// checked against reservation windows.
@@ -53,7 +52,8 @@ class ReservationScheduler final : public LocalScheduler {
   util::Result<Reservation> reserve(sim::Time start, sim::Time end,
                                     std::int32_t count);
 
-  /// Releases an unused reservation (or the remainder of one).
+  /// Releases a reservation (or the remainder of one).  Jobs still running
+  /// in it end as cancelled first.
   bool cancel_reservation(ReservationId id);
 
   /// Submits a job bound to a reservation; it starts at the window start
@@ -69,60 +69,25 @@ class ReservationScheduler final : public LocalScheduler {
 
   // ---- LocalScheduler (best-effort queue) --------------------------------
 
-  util::Status submit(const JobDescriptor& job, StartFn on_start,
-                      EndFn on_end) override;
-  void complete(JobId id) override;
-  bool cancel(JobId id) override;
-
-  std::int32_t total_processors() const override { return total_; }
-  std::int32_t busy_processors() const override { return busy_; }
-  std::size_t queue_length() const override { return queue_.size(); }
-  QueueSnapshot snapshot() const override;
-  QueueSummary summary() const override;
-  std::uint64_t version() const override { return version_; }
   std::string policy() const override { return "fcfs+reservations"; }
 
  private:
-  struct Queued {
-    JobDescriptor desc;
-    StartFn on_start;
-    EndFn on_end;
-    sim::Time submitted_at = 0;
-    ReservationId reservation = 0;  // 0 = best-effort
-  };
-  struct Running {
-    JobDescriptor desc;
-    EndFn on_end;
-    sim::Time started_at = 0;
-    sim::Time est_end = 0;  // commit-profile occupancy end (best-effort)
-    ReservationId reservation = 0;
-    sim::EventId runtime_event;
-    sim::EventId wall_event;
-  };
-
-  void try_schedule();
-  void start(Queued&& q);
-  void end_running(JobId id, EndReason reason);
+  void schedule() override;
+  void occupy(const Queued& q, Running& r) override;
+  void vacate(const Running& r) override;
+  /// Ends every running job bound to reservation `rid`.
+  void end_bound(ReservationId rid, EndReason reason);
   sim::Time job_estimate(const JobDescriptor& d) const;
-  /// Whether `id` is queued or running (O(queue depth), like cancel()).
-  bool has_job(JobId id) const;
   /// `now + length` saturated at the end of time.
   sim::Time horizon(sim::Time now, sim::Time length) const;
 
-  sim::Engine* engine_;
-  std::int32_t total_;
-  std::int32_t busy_ = 0;       // all running jobs, reserved or not
   std::int32_t busy_best_ = 0;  // running best-effort jobs only
   sim::Time default_estimate_;
   ReservationId next_reservation_ = 1;
   std::vector<Reservation> reservations_;
   Profile res_;     // admitted windows
   Profile commit_;  // admitted windows + estimated best-effort tails
-  std::deque<Queued> queue_;
-  sim::IdSlab<Running> running_;
   bool scheduling_ = false;
-  std::int64_t queued_work_ = 0;  // sum of count*estimate over the queue
-  std::uint64_t version_ = 1;     // dirty-flag counter (0 = untracked)
 };
 
 }  // namespace grid::sched

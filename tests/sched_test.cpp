@@ -168,7 +168,9 @@ TEST(LocalSchedulers, ShareOneJobLifecycle) {
       EXPECT_EQ(sum.queued_work, derived.queued_work);
       EXPECT_EQ(s->busy_processors(), now.busy_processors);
       EXPECT_EQ(s->queue_length(), now.queued.size());
-      if (s != &fork) EXPECT_LE(s->busy_processors(), s->total_processors());
+      if (s != &fork) {
+        EXPECT_LE(s->busy_processors(), s->total_processors());
+      }
       bool changed = now.busy_processors != seen.busy_processors ||
                      now.total_processors != seen.total_processors ||
                      now.queued.size() != seen.queued.size();
@@ -176,7 +178,9 @@ TEST(LocalSchedulers, ShareOneJobLifecycle) {
         changed = now.queued[i].id != seen.queued[i].id;
       }
       EXPECT_GE(s->version(), version);
-      if (changed) EXPECT_GT(s->version(), version);
+      if (changed) {
+        EXPECT_GT(s->version(), version);
+      }
       version = s->version();
       seen = now;
     };
@@ -654,6 +658,34 @@ TEST(ReservationScheduler, CancelReservationFreesWindow) {
            [&](JobId) { started_at = e.now(); }, ev.on_end());
   e.run();
   EXPECT_EQ(started_at, 0);
+}
+
+// A cancelled reservation ends the jobs still running in it before its
+// window is handed back; otherwise a new reservation over the freed window
+// runs beside them and over-commits the machine.
+TEST(ReservationScheduler, CancelReservationEndsBoundJobs) {
+  sim::Engine e;
+  ReservationScheduler s(e, 8);
+  Events ev;
+  auto first = s.reserve(10 * sim::kSecond, 100 * sim::kSecond, 8);
+  ASSERT_TRUE(first.is_ok());
+  ASSERT_TRUE(s.submit_reserved(job(1, 8), first.value().id, ev.on_start(),
+                                ev.on_end())
+                  .is_ok());
+  e.run_until(20 * sim::kSecond);
+  ASSERT_EQ(ev.started, (std::vector<JobId>{1}));
+  EXPECT_TRUE(s.cancel_reservation(first.value().id));
+  EXPECT_EQ(ev.ended, (std::vector<std::pair<JobId, EndReason>>{
+                          {1, EndReason::kCancelled}}));
+  EXPECT_EQ(s.busy_processors(), 0);
+  auto second = s.reserve(30 * sim::kSecond, 100 * sim::kSecond, 8);
+  ASSERT_TRUE(second.is_ok());
+  ASSERT_TRUE(s.submit_reserved(job(2, 8), second.value().id, ev.on_start(),
+                                ev.on_end())
+                  .is_ok());
+  e.run_until(40 * sim::kSecond);
+  EXPECT_EQ(ev.started, (std::vector<JobId>{1, 2}));
+  EXPECT_EQ(s.busy_processors(), 8);
 }
 
 TEST(ReservationScheduler, BestEffortBackfillsBesideActiveWindow) {
