@@ -89,7 +89,6 @@ util::Status JobManager::start() {
   desc.count = request_.count;
   desc.max_wall_time =
       request_.max_wall_time.has_value() ? *request_.max_wall_time : 0;
-  desc.annotation = request_.executable;
   util::Status status;
   if (request_.reservation_id != 0) {
     // The job is bound to an advance reservation (paper §5): it starts at

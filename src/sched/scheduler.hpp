@@ -32,7 +32,6 @@ struct JobDescriptor {
   sim::Time runtime = 0;
   /// Hard limit: the scheduler kills the job this long after start.
   sim::Time max_wall_time = 0;
-  std::string annotation;  // diagnostics only
 };
 
 /// Why a running or queued job left the scheduler.
