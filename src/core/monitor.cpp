@@ -65,7 +65,6 @@ void EnsembleMonitor::observe(SubjobHandle handle, SubjobState state,
 
 void EnsembleMonitor::emit(GlobalEvent event) {
   history_.push_back(event);
-  if (on_event_) on_event_(event);
 }
 
 EnsembleMonitor::Summary EnsembleMonitor::summary() const {
@@ -175,7 +174,7 @@ void HeartbeatDetector::beat(SubjobHandle handle, net::NodeId gatekeeper,
           ++beats_answered_;
           w.misses = 0;
           if (w.health == SubjobHealth::kSuspect) {
-            transition(handle, w, SubjobHealth::kHealthy, util::Status::ok());
+            w.health = SubjobHealth::kHealthy;
           }
           return;
         }
@@ -186,7 +185,7 @@ void HeartbeatDetector::beat(SubjobHandle handle, net::NodeId gatekeeper,
               util::ErrorCode::kUnavailable,
               "heartbeat detector: " + std::to_string(w.misses) +
                   " consecutive beats unanswered");
-          transition(handle, w, SubjobHealth::kDead, why);
+          w.health = SubjobHealth::kDead;
           ++verdicts_;
           CoallocationRequest* req = mech_->find_request(request_);
           if (req != nullptr && !is_request_terminal(req->state())) {
@@ -194,17 +193,9 @@ void HeartbeatDetector::beat(SubjobHandle handle, net::NodeId gatekeeper,
           }
         } else if (w.misses >= config_.misses_to_suspect &&
                    w.health == SubjobHealth::kHealthy) {
-          transition(handle, w, SubjobHealth::kSuspect,
-                     util::Status(util::ErrorCode::kUnavailable,
-                                  "heartbeat missed"));
+          w.health = SubjobHealth::kSuspect;
         }
       });
-}
-
-void HeartbeatDetector::transition(SubjobHandle handle, Watch& w,
-                                   SubjobHealth to, const util::Status& why) {
-  w.health = to;
-  if (on_health_) on_health_(handle, to, why);
 }
 
 }  // namespace grid::core

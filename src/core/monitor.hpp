@@ -10,7 +10,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 
@@ -36,10 +35,6 @@ std::string to_string(GlobalEvent e);
 
 class GRID_HOT EnsembleMonitor {
  public:
-  // Installed once per watched request at registration time.
-  // gridlint: allow(hot-function)
-  using EventFn = std::function<void(GlobalEvent)>;
-
   /// Point-in-time aggregate over the request's subjobs.
   struct Summary {
     std::array<std::size_t, 9> by_state{};  // indexed by SubjobState
@@ -62,8 +57,6 @@ class GRID_HOT EnsembleMonitor {
 
   void bind(CoallocationRequest* request) { request_ = request; }
 
-  void set_event_handler(EventFn handler) { on_event_ = std::move(handler); }
-
   Summary summary() const;
 
   /// Collective control operation (§3.4): kill the whole ensemble.
@@ -81,7 +74,6 @@ class GRID_HOT EnsembleMonitor {
 
   CoallocationRequest* request_ = nullptr;
   RequestCallbacks user_;
-  EventFn on_event_;
   std::vector<GlobalEvent> history_;
   bool saw_all_pending_ = false;
   bool saw_all_active_ = false;
@@ -123,12 +115,6 @@ struct HeartbeatConfig {
 
 class GRID_HOT HeartbeatDetector {
  public:
-  /// Fired on every health transition; for kDead the status carries the
-  /// cause that is about to be reported to the request.  Health edges are
-  /// rare relative to messages.
-  using HealthFn =  // gridlint: allow(hot-function)
-      std::function<void(SubjobHandle, SubjobHealth, const util::Status&)>;
-
   /// Watches the request with the given id.  The detector resolves the id
   /// through `mechanisms` on every beat, so it tolerates the request being
   /// destroyed while it is running (it simply stops).
@@ -145,10 +131,6 @@ class GRID_HOT HeartbeatDetector {
   void start();
   void stop();
   bool running() const { return running_; }
-
-  void set_health_handler(HealthFn handler) {
-    on_health_ = std::move(handler);
-  }
 
   /// kHealthy for slots never watched.
   SubjobHealth health(SubjobHandle handle) const;
@@ -171,13 +153,10 @@ class GRID_HOT HeartbeatDetector {
 
   void tick();
   void beat(SubjobHandle handle, net::NodeId gatekeeper, gram::JobId job);
-  void transition(SubjobHandle handle, Watch& w, SubjobHealth to,
-                  const util::Status& why);
 
   Coallocator* mech_;
   RequestId request_;
   HeartbeatConfig config_;
-  HealthFn on_health_;
   sim::IdSlab<Watch> watches_;
   sim::EventId tick_event_;
   bool running_ = false;
