@@ -51,7 +51,6 @@ class GRID_HOT CompositeAgent {
   /// Aborts the whole hierarchy.
   void abort(const std::string& reason);
 
-  std::size_t child_count() const { return children_.size(); }
   bool released() const { return released_count_ == children_.size(); }
 
  private:

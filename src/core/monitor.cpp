@@ -2,24 +2,6 @@
 
 namespace grid::core {
 
-std::string to_string(GlobalEvent e) {
-  switch (e) {
-    case GlobalEvent::kAllPending:
-      return "ALL_PENDING";
-    case GlobalEvent::kAllActive:
-      return "ALL_ACTIVE";
-    case GlobalEvent::kReleased:
-      return "RELEASED";
-    case GlobalEvent::kDegraded:
-      return "DEGRADED";
-    case GlobalEvent::kDone:
-      return "DONE";
-    case GlobalEvent::kAborted:
-      return "ABORTED";
-  }
-  return "?";
-}
-
 RequestCallbacks EnsembleMonitor::wrap(RequestCallbacks user) {
   user_ = std::move(user);
   RequestCallbacks cbs;
@@ -39,7 +21,7 @@ RequestCallbacks EnsembleMonitor::wrap(RequestCallbacks user) {
 void EnsembleMonitor::observe(SubjobHandle handle, SubjobState state,
                               const util::Status& why) {
   if (request_ != nullptr) {
-    const Summary s = summary();
+    const CoallocationRequest::SubjobAggregate& s = summary();
     // "All X" transitions fire once, when every live subjob has reached at
     // least the given stage.
     if (!saw_all_pending_ && s.live_subjobs > 0 &&
@@ -56,7 +38,7 @@ void EnsembleMonitor::observe(SubjobHandle handle, SubjobState state,
       emit(GlobalEvent::kAllActive);
     }
     if (state == SubjobState::kFailed &&
-        s.request_state == RequestState::kReleased) {
+        request_->state() == RequestState::kReleased) {
       emit(GlobalEvent::kDegraded);
     }
   }
@@ -67,35 +49,14 @@ void EnsembleMonitor::emit(GlobalEvent event) {
   history_.push_back(event);
 }
 
-EnsembleMonitor::Summary EnsembleMonitor::summary() const {
-  Summary s;
-  if (request_ == nullptr) return s;
-  // The request maintains the aggregate incrementally, so building the
-  // collective view is O(1) — observe() calls this on every subjob event,
-  // which used to make ensemble monitoring O(n²) in subjob count.
-  s.request_state = request_->state();
-  const CoallocationRequest::SubjobAggregate& a = request_->aggregate();
-  s.by_state = a.by_state;
-  s.live_subjobs = a.live_subjobs;
-  s.live_processes = a.live_processes;
-  s.released_processes = a.released_processes;
-  s.failures = a.count(SubjobState::kFailed);
-  return s;
+const CoallocationRequest::SubjobAggregate& EnsembleMonitor::summary() const {
+  // The request maintains the aggregate incrementally, so the collective
+  // view is O(1) — observe() reads it on every subjob event.
+  static const CoallocationRequest::SubjobAggregate kUnbound;
+  return request_ == nullptr ? kUnbound : request_->aggregate();
 }
 
 // ---- heartbeat failure detection -------------------------------------------
-
-std::string to_string(SubjobHealth h) {
-  switch (h) {
-    case SubjobHealth::kHealthy:
-      return "HEALTHY";
-    case SubjobHealth::kSuspect:
-      return "SUSPECT";
-    case SubjobHealth::kDead:
-      return "DEAD";
-  }
-  return "?";
-}
 
 HeartbeatDetector::HeartbeatDetector(Coallocator& mechanisms,
                                      RequestId request, HeartbeatConfig config)
@@ -118,11 +79,6 @@ void HeartbeatDetector::start() {
 void HeartbeatDetector::stop() {
   running_ = false;
   mech_->engine().cancel(tick_event_);
-}
-
-SubjobHealth HeartbeatDetector::health(SubjobHandle handle) const {
-  const Watch* w = watches_.find(handle);
-  return w == nullptr ? SubjobHealth::kHealthy : w->health;
 }
 
 void HeartbeatDetector::tick() {
@@ -171,7 +127,6 @@ void HeartbeatDetector::beat(SubjobHandle handle, net::NodeId gatekeeper,
         w.in_flight = false;
         if (w.health == SubjobHealth::kDead) return;
         if (status.is_ok()) {
-          ++beats_answered_;
           w.misses = 0;
           if (w.health == SubjobHealth::kSuspect) {
             w.health = SubjobHealth::kHealthy;

@@ -8,10 +8,9 @@
 // collective kill operation.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <vector>
 
 #include "core/coallocator.hpp"
 #include "core/request.hpp"
@@ -31,24 +30,8 @@ enum class GlobalEvent : std::uint8_t {
   kAborted,      // the computation was terminated
 };
 
-std::string to_string(GlobalEvent e);
-
 class GRID_HOT EnsembleMonitor {
  public:
-  /// Point-in-time aggregate over the request's subjobs.
-  struct Summary {
-    std::array<std::size_t, 9> by_state{};  // indexed by SubjobState
-    std::size_t live_subjobs = 0;
-    std::int32_t live_processes = 0;
-    std::int32_t released_processes = 0;
-    std::size_t failures = 0;
-    RequestState request_state = RequestState::kEditing;
-
-    std::size_t count(SubjobState s) const {
-      return by_state[static_cast<std::size_t>(s)];
-    }
-  };
-
   EnsembleMonitor() = default;
 
   /// Wraps user callbacks so the monitor observes every transition; pass
@@ -57,7 +40,9 @@ class GRID_HOT EnsembleMonitor {
 
   void bind(CoallocationRequest* request) { request_ = request; }
 
-  Summary summary() const;
+  /// Point-in-time aggregate over the bound request's subjobs (all zero
+  /// before bind()).
+  const CoallocationRequest::SubjobAggregate& summary() const;
 
   /// Collective control operation (§3.4): kill the whole ensemble.
   void kill() {
@@ -97,8 +82,6 @@ enum class SubjobHealth : std::uint8_t {
   kDead,     // >= misses_to_dead; verdict delivered, no further beats
 };
 
-std::string to_string(SubjobHealth h);
-
 struct HeartbeatConfig {
   /// Beat period.  Each watched subjob's gatekeeper is pinged once per
   /// interval (single-attempt, so the detector — not an RPC retry layer —
@@ -132,11 +115,7 @@ class GRID_HOT HeartbeatDetector {
   void stop();
   bool running() const { return running_; }
 
-  /// kHealthy for slots never watched.
-  SubjobHealth health(SubjobHandle handle) const;
-
   std::uint64_t beats_sent() const { return beats_sent_; }
-  std::uint64_t beats_answered() const { return beats_answered_; }
   std::uint64_t beats_missed() const { return beats_missed_; }
   /// Dead verdicts delivered to the request.
   std::uint64_t verdicts() const { return verdicts_; }
@@ -164,7 +143,6 @@ class GRID_HOT HeartbeatDetector {
   /// destroying the detector with beats in flight is safe.
   std::shared_ptr<bool> alive_;
   std::uint64_t beats_sent_ = 0;
-  std::uint64_t beats_answered_ = 0;
   std::uint64_t beats_missed_ = 0;
   std::uint64_t verdicts_ = 0;
 };

@@ -32,8 +32,7 @@ CoallocationRequest::CoallocationRequest(Coallocator& owner, RequestId id,
     : owner_(&owner),
       id_(id),
       callbacks_(std::move(callbacks)),
-      config_(config),
-      log_(owner.engine(), "coalloc/req" + std::to_string(id)) {}
+      config_(config) {}
 
 CoallocationRequest::~CoallocationRequest() {
   *alive_ = false;
@@ -345,10 +344,7 @@ void CoallocationRequest::on_checkin(net::NodeId src,
     sj->process_nodes.assign(count, net::kInvalidNode);
     sj->checked.assign(count, false);
   }
-  if (msg.rank < 0 || static_cast<std::size_t>(msg.rank) >= count) {
-    GRID_LOG(log_, kWarn) << "check-in with out-of-range rank " << msg.rank;
-    return;
-  }
+  if (msg.rank < 0 || static_cast<std::size_t>(msg.rank) >= count) return;
   const auto rank = static_cast<std::size_t>(msg.rank);
   if (sj->checked[rank]) return;  // duplicate
   sj->checked[rank] = true;
@@ -526,9 +522,6 @@ void CoallocationRequest::fail_subjob(SubjobHandle handle, util::Status why) {
     hold_handle_ = 0;
     pump_submissions();
   }
-  GRID_LOG(log_, kInfo) << "subjob " << handle << " ("
-                        << sj->request.resource_manager_contact
-                        << ") failed: " << why.to_string();
   const rsl::SubjobStartType type = sj->request.start_type;
   // The agent callback runs before category handling so a failure can be
   // repaired (substitute/remove) in the same turn (§3.2).

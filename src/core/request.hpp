@@ -43,7 +43,6 @@
 #include "rsl/attributes.hpp"
 #include "simkit/annotate.hpp"
 #include "simkit/idmap.hpp"
-#include "simkit/log.hpp"
 
 namespace grid::core {
 
@@ -278,7 +277,6 @@ class GRID_HOT CoallocationRequest {
   RequestId id_;
   RequestCallbacks callbacks_;
   RequestConfig config_;
-  util::Logger log_;
 
   RequestState state_ = RequestState::kEditing;
   bool started_ = false;

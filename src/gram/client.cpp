@@ -52,7 +52,6 @@ void Client::auth_attempt(std::shared_ptr<AuthRetryState> state, int n) {
           state->done(std::move(session));
           return;
         }
-        ++auth_retries_;
         endpoint_->engine().schedule_after(
             backoff, [this, state = std::move(state), n]() mutable {
               auth_attempt(std::move(state), n + 1);

@@ -42,12 +42,6 @@ class Client {
   void set_retry_policy(std::optional<net::RetryPolicy> policy) {
     retry_ = policy;
   }
-  const std::optional<net::RetryPolicy>& retry_policy() const {
-    return retry_;
-  }
-
-  /// Pre-ack (GSI handshake) retries performed by submit()/reserve().
-  std::uint64_t auth_retries() const { return auth_retries_; }
 
   /// Submits `rsl` (a '&' conjunction fragment) to the gatekeeper.
   /// `on_accepted` fires once with the job id or an error; `on_state`
@@ -109,7 +103,6 @@ class Client {
   net::Endpoint* endpoint_;
   gsi::ClientContext gsi_;
   std::optional<net::RetryPolicy> retry_;
-  std::uint64_t auth_retries_ = 0;
   std::uint64_t next_auth_stream_ = 1;
   std::unordered_map<JobId, StateFn> watchers_;
   std::unordered_map<JobId, std::vector<JobStateChange>> early_;

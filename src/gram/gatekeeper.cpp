@@ -18,8 +18,7 @@ Gatekeeper::Gatekeeper(net::Network& network, std::string host_name,
       registry_(&registry),
       gsi_(endpoint_, ca, gridmap, std::move(host_credential), gsi_costs),
       nis_(endpoint_, nis_server),
-      costs_(costs),
-      log_(network.engine(), "gram/" + host_name_) {
+      costs_(costs) {
   endpoint_.register_method(
       kMethodJobRequest,
       [this](net::NodeId caller, std::uint64_t call_id, util::Reader& args) {
@@ -110,8 +109,7 @@ void Gatekeeper::accept_job(net::NodeId caller, std::uint64_t call_id,
       (static_cast<JobId>(endpoint_.id()) << 32) | next_job_++;
   auto manager = std::make_unique<JobManager>(
       endpoint_, *scheduler_, *registry_, id, job_request.take(), local_user,
-      request.callback_contact, costs_.exec_startup,
-      log_.child("jm" + std::to_string(id & 0xffffffff)));
+      request.callback_contact, costs_.exec_startup);
   if (auto st = manager->start(); !st.is_ok()) {
     endpoint_.respond_error(caller, call_id, st.code(), st.message());
     return;

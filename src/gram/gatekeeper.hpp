@@ -23,7 +23,6 @@
 #include "net/rpc.hpp"
 #include "sched/scheduler.hpp"
 #include "simkit/idmap.hpp"
-#include "simkit/log.hpp"
 
 namespace grid::gram {
 
@@ -85,7 +84,6 @@ class Gatekeeper {
   gsi::ServerContext gsi_;
   NisClient nis_;
   GatekeeperCosts costs_;
-  util::Logger log_;
   std::uint64_t next_job_ = 1;
   sim::IdSlab<std::unique_ptr<JobManager>> jobs_;
 };

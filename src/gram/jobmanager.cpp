@@ -69,8 +69,7 @@ JobManager::JobManager(net::Endpoint& endpoint,
                        sched::LocalScheduler& scheduler,
                        const ExecutableRegistry& registry, JobId id,
                        rsl::JobRequest request, std::string local_user,
-                       net::NodeId callback_contact, sim::Time exec_startup,
-                       util::Logger logger)
+                       net::NodeId callback_contact, sim::Time exec_startup)
     : endpoint_(&endpoint),
       scheduler_(&scheduler),
       registry_(&registry),
@@ -78,8 +77,7 @@ JobManager::JobManager(net::Endpoint& endpoint,
       request_(std::move(request)),
       local_user_(std::move(local_user)),
       callback_contact_(callback_contact),
-      exec_startup_(exec_startup),
-      log_(std::move(logger)) {}
+      exec_startup_(exec_startup) {}
 
 JobManager::~JobManager() { endpoint_->engine().cancel(exec_event_); }
 
@@ -239,8 +237,6 @@ void JobManager::transition(JobState state, util::ErrorCode error,
                             const std::string& message) {
   if (state_ == state) return;
   state_ = state;
-  GRID_LOG(log_, kDebug) << "job " << id_ << " -> " << to_string(state)
-                         << (message.empty() ? "" : ": " + message);
   if (callback_contact_ == net::kInvalidNode) return;
   JobStateChange change;
   change.job = id_;

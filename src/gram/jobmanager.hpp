@@ -18,7 +18,6 @@
 #include "net/rpc.hpp"
 #include "rsl/attributes.hpp"
 #include "sched/scheduler.hpp"
-#include "simkit/log.hpp"
 
 namespace grid::gram {
 
@@ -32,8 +31,7 @@ class JobManager {
   JobManager(net::Endpoint& endpoint, sched::LocalScheduler& scheduler,
              const ExecutableRegistry& registry, JobId id,
              rsl::JobRequest request, std::string local_user,
-             net::NodeId callback_contact, sim::Time exec_startup,
-             util::Logger logger);
+             net::NodeId callback_contact, sim::Time exec_startup);
   ~JobManager();
 
   JobManager(const JobManager&) = delete;
@@ -74,7 +72,6 @@ class JobManager {
   net::NodeId callback_contact_;
   sim::Time exec_startup_;
   sim::EventId exec_event_;
-  util::Logger log_;
 
   JobState state_ = JobState::kUnsubmitted;
   std::vector<std::unique_ptr<Process>> processes_;

@@ -40,7 +40,6 @@ class NisServer {
   void add_user(std::string user, std::vector<std::string> groups);
 
   std::uint64_t lookups_served() const { return served_; }
-  sim::Time service_time() const { return service_time_; }
 
  private:
   struct Pending {

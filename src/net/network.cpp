@@ -69,7 +69,6 @@ NodeId Network::attach(Node* node, std::string name) {
   s.name = std::move(name);
   s.up = true;
   s.attached = true;
-  ++attached_;
   return id;
 }
 
@@ -78,7 +77,6 @@ void Network::detach(NodeId id) {
   if (s == nullptr) return;
   s->node = nullptr;
   s->attached = false;
-  --attached_;
 }
 
 void Network::set_latency_model(std::unique_ptr<LatencyModel> model) {

@@ -236,7 +236,6 @@ class GRID_HOT Network {
   /// Mutable counters, for the RPC layer's retry accounting.
   NetworkStats& mutable_stats() { return stats_; }
   const std::string& name(NodeId id) const;
-  std::size_t node_count() const { return attached_; }
 
   /// The latency model's lower bound (see LatencyModel::min_latency).
   sim::Time min_latency() const { return latency_->min_latency(); }
@@ -301,7 +300,6 @@ class GRID_HOT Network {
   NodeId next_id_;
   ShardFabric* fabric_ = nullptr;
   std::uint32_t shard_index_ = 0;
-  std::size_t attached_ = 0;
   std::vector<Slot> nodes_;  // index = NodeId - id_base_ (dense per shard)
   // Slow-node delays for nodes on *other* shards, mirrored here so the
   // send path can price the destination's spike without touching a foreign

@@ -61,18 +61,18 @@ util::Result<Reservation> ReservationScheduler::reserve(sim::Time start,
   r.start = start;
   r.end = end;
   r.count = count;
-  reservations_.push_back(r);
   res_.reserve(start, end, count);
   commit_.reserve(start, end, count);
   // Window-start: start any bound jobs; window-end: reclaim and kill.  The
   // profile occupancies simply elapse at window end — nothing to return.
-  engine_->schedule_at(start, [this] { schedule(); });
-  engine_->schedule_at(end, [this, rid = r.id] {
+  r.opens = engine_->schedule_at(start, [this] { schedule(); });
+  r.closes = engine_->schedule_at(end, [this, rid = r.id] {
     end_bound(rid, EndReason::kWallTimeExceeded);
     std::erase_if(reservations_,
                   [rid](const Reservation& x) { return x.id == rid; });
     schedule();
   });
+  reservations_.push_back(r);
   return r;
 }
 
@@ -91,6 +91,8 @@ bool ReservationScheduler::cancel_reservation(ReservationId id) {
   if (it == reservations_.end()) return false;
   const Reservation r = *it;
   reservations_.erase(it);
+  engine_->cancel(r.opens);
+  engine_->cancel(r.closes);
   // Jobs still running in the window end before it is handed back: the
   // freed capacity may be reserved again at once.
   end_bound(id, EndReason::kCancelled);
@@ -114,7 +116,16 @@ util::Status ReservationScheduler::submit_reserved(const JobDescriptor& job,
     return {util::ErrorCode::kNotFound, "unknown reservation"};
   }
   if (auto st = check(job); !st.is_ok()) return st;
-  if (job.count > it->count) {
+  // Bound jobs all start when the window opens, so together — queued and
+  // running — they must fit the reserved count.
+  std::int32_t bound = 0;
+  for (const Queued& q : queue_) {
+    if (q.tag == rid) bound += q.desc.count;
+  }
+  running_.for_each([&](JobId, const Running& r) {
+    if (r.tag == rid) bound += r.desc.count;
+  });
+  if (job.count > it->count - bound) {
     return {util::ErrorCode::kResourceExhausted,
             "job exceeds reservation capacity"};
   }

@@ -35,6 +35,8 @@ struct Reservation {
   sim::Time start = 0;
   sim::Time end = 0;
   std::int32_t count = 0;
+  sim::EventId opens;   // window-start scheduling pass
+  sim::EventId closes;  // window-end reclaim
 };
 
 /// Each job's tag is the reservation it is bound to (0 = best-effort).
@@ -58,7 +60,8 @@ class ReservationScheduler final : public JobLifecycle<ReservationId> {
 
   /// Submits a job bound to a reservation; it starts at the window start
   /// (immediately if the window is open) and is killed at window end if
-  /// still running.  The job's count must fit the reservation.
+  /// still running.  The job's count plus those of the jobs already bound
+  /// to the reservation must fit it.
   util::Status submit_reserved(const JobDescriptor& job, ReservationId rid,
                                StartFn on_start, EndFn on_end);
 

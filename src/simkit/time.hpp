@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace grid::sim {
 
@@ -37,8 +36,5 @@ constexpr double to_seconds(Time t) {
 constexpr double to_millis(Time t) {
   return static_cast<double>(t) / static_cast<double>(kMillisecond);
 }
-
-/// Renders a time as a compact human-readable string, e.g. "2.043s".
-std::string format_time(Time t);
 
 }  // namespace grid::sim

@@ -136,9 +136,6 @@ class Grid {
   /// Runs the event loop to completion / until a deadline.
   void run() { engines_.run(); }
   void run_until(sim::Time deadline) { engines_.run_until(deadline); }
-  void run_for(sim::Time duration) {
-    engines_.run_until(engine().now() + duration);
-  }
 
  private:
   friend class Host;

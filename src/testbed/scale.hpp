@@ -119,8 +119,6 @@ class ScaleScenario {
   ScaleScenario& operator=(const ScaleScenario&) = delete;
 
   Grid& grid() { return grid_; }
-  sched::LoadInformationService& info_service() { return *shards_[0].service; }
-  info::GisServer& gis_server() { return *shards_[0].gis_server; }
 
   /// Runs the scenario for spec.duration and reports.  Call once.
   ScaleMetrics run();

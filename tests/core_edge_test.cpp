@@ -108,6 +108,61 @@ TEST(CoallocationEdge, ForgedCheckinForUnknownSubjobIsIgnored) {
   EXPECT_EQ(outcome.config.total_processes, 2);
 }
 
+TEST(CoallocationEdge, OutOfRangeAndDuplicateRanksAreIgnored) {
+  // host1's processes check in at once; host2's ("slow") take 30 s, so
+  // the barrier is half full while the forged check-ins arrive.
+  SmallGrid g(2);
+  app::install_app(g.grid->executables(), "slow",
+                   app::StartupProfile{.init_delay = 30 * sim::kSecond},
+                   &g.stats);
+  Outcome outcome;
+  auto* req = g.coallocator->create_request(outcome.callbacks());
+  auto fast = req->add_subjob(make_job("host1", 2, SubjobStartType::kRequired));
+  auto slow = req->add_subjob(
+      make_job("host2", 2, SubjobStartType::kRequired, "slow"));
+  ASSERT_TRUE(fast.is_ok());
+  ASSERT_TRUE(slow.is_ok());
+  req->commit();
+  g.grid->run_until(10 * sim::kSecond);
+  auto view = [&](core::SubjobHandle h) { return req->subjob(h).value(); };
+  ASSERT_EQ(view(fast.value()).state, SubjobState::kCheckedIn);
+  ASSERT_EQ(view(slow.value()).state, SubjobState::kActive);
+  const RequestState before = req->state();
+
+  net::Endpoint forger(g.grid->network(), "forger");
+  auto forge = [&](core::SubjobHandle h, std::int32_t rank) {
+    core::CheckinMessage msg;
+    msg.request = req->id();
+    msg.subjob = h;
+    msg.gram_job = view(h).gram_job;  // current incarnation: not stale
+    msg.rank = rank;
+    msg.ok = true;
+    util::Writer w;
+    msg.encode(w);
+    forger.notify(g.coallocator->endpoint().id(), core::kNotifyCheckin,
+                  w.take());
+  };
+  for (core::SubjobHandle h : {fast.value(), slow.value()}) {
+    forge(h, -1);
+    forge(h, 2);  // == count
+  }
+  forge(fast.value(), 0);  // rank 0 already checked in
+  forge(fast.value(), 1);
+  g.grid->run_until(11 * sim::kSecond);
+  EXPECT_EQ(view(fast.value()).checked_in, 2);
+  EXPECT_EQ(view(fast.value()).state, SubjobState::kCheckedIn);
+  EXPECT_EQ(view(slow.value()).checked_in, 0);
+  EXPECT_EQ(view(slow.value()).state, SubjobState::kActive);
+  EXPECT_EQ(req->state(), before);
+  EXPECT_FALSE(outcome.released);
+
+  // The legitimate check-ins still fill and release the barrier.
+  g.grid->run();
+  ASSERT_TRUE(outcome.released);
+  EXPECT_EQ(outcome.config.total_processes, 4);
+  EXPECT_EQ(view(slow.value()).checked_in, 2);
+}
+
 TEST(CoallocationEdge, CheckinForDeadRequestGetsAbortReply) {
   SmallGrid g(1);
   // A process checks in against a request id that does not exist; the

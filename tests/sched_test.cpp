@@ -688,6 +688,36 @@ TEST(ReservationScheduler, CancelReservationEndsBoundJobs) {
   EXPECT_EQ(s.busy_processors(), 8);
 }
 
+// Every job bound to a window starts when it opens, so the jobs bound to
+// one reservation must together fit its count, not just one at a time.
+TEST(ReservationScheduler, BoundJobsCannotOvercommitReservation) {
+  sim::Engine e;
+  ReservationScheduler s(e, 8);
+  Events ev;
+  auto r = s.reserve(10 * sim::kSecond, 100 * sim::kSecond, 8);
+  ASSERT_TRUE(r.is_ok());
+  ASSERT_TRUE(s.submit_reserved(job(1, 8), r.value().id, ev.on_start(),
+                                ev.on_end())
+                  .is_ok());
+  EXPECT_EQ(s.submit_reserved(job(2, 8), r.value().id, ev.on_start(),
+                              ev.on_end())
+                .code(),
+            util::ErrorCode::kResourceExhausted);
+  e.run_until(20 * sim::kSecond);
+  EXPECT_EQ(ev.started, (std::vector<JobId>{1}));
+  EXPECT_LE(s.busy_processors(), 8);
+}
+
+TEST(ReservationScheduler, CancelReservationRemovesWindowEvents) {
+  sim::Engine e;
+  ReservationScheduler s(e, 8);
+  const std::size_t before = e.pending();
+  auto r = s.reserve(10 * sim::kSecond, 100 * sim::kSecond, 8);
+  ASSERT_TRUE(r.is_ok());
+  EXPECT_TRUE(s.cancel_reservation(r.value().id));
+  EXPECT_EQ(e.pending(), before);
+}
+
 TEST(ReservationScheduler, BestEffortBackfillsBesideActiveWindow) {
   sim::Engine e;
   ReservationScheduler s(e, 16);

@@ -627,14 +627,6 @@ TEST(Time, ConversionRoundTrips) {
   EXPECT_DOUBLE_EQ(sim::to_millis(3 * sim::kMillisecond), 3.0);
 }
 
-TEST(Time, FormatPicksUnits) {
-  EXPECT_EQ(sim::format_time(2 * sim::kSecond), "2.000s");
-  EXPECT_EQ(sim::format_time(3 * sim::kMillisecond), "3.000ms");
-  EXPECT_EQ(sim::format_time(5 * sim::kMicrosecond), "5us");
-  EXPECT_EQ(sim::format_time(7), "7ns");
-  EXPECT_EQ(sim::format_time(sim::kTimeNever), "never");
-}
-
 // ---- rng -----------------------------------------------------------------------
 
 TEST(Rng, DeterministicForEqualSeeds) {

@@ -17,7 +17,8 @@ Usage:
 Exit codes: 0 clean, 1 findings, 2 infrastructure error.
 
 Suppressions: `// gridlint: allow(<rule>)` on the finding's line or the
-line above, or a justified entry in gridlintlib/registry.py:ALLOW.
+line above, or a justified entry in gridlintlib/registry.py:ALLOW.  An
+ALLOW entry naming a file that does not exist under --root fails the run.
 """
 
 from __future__ import annotations
@@ -91,6 +92,12 @@ def main(argv=None) -> int:
     if not corpus:
         print(f"gridlint: no sources under {root}", file=sys.stderr)
         return 2
+    stale = registry.stale_allows(root)
+    for path, rule in stale:
+        print(f"gridlint: stale ALLOW entry ({path}, {rule}): no such file",
+              file=sys.stderr)
+    if stale:
+        return 1
     paths = None
     if args.files:
         paths = normalize_targets(root, args.files, corpus)

@@ -21,6 +21,11 @@ The harness also fails if any rule in the registry is never exercised by
 a fixture under any engine — a rule without a firing fixture is dead
 weight we cannot trust.
 
+The stale-exemption check has its own fixture: tests/lint_fixtures/
+stale_allow is scanned as a --root against the ALLOW keys listed in its
+allow.txt, each marked `live` (the file exists) or `stale`; the check must
+report exactly the stale ones.
+
 When libclang is unavailable the AST half is skipped with a notice and
 the selftest passes on the regex half alone; CI installs libclang so the
 full matrix gates merges there.
@@ -48,6 +53,23 @@ def _regex_fired(pretend_path: str, raw: str) -> set[str]:
     hot = textprep.file_declares_hot(stripped)
     return {f.rule for f in regex_engine.scan_file(
         pretend_path, raw, stripped, names, hot)}
+
+
+def _stale_allow_failures(stale_root: str) -> list[str]:
+    probe: dict[tuple[str, str], str] = {}
+    expected = []
+    with open(os.path.join(stale_root, "allow.txt"), encoding="utf-8") as f:
+        for line in f:
+            if not line.strip() or line.startswith("#"):
+                continue
+            path, rule, verdict = line.split()
+            probe[(path, rule)] = verdict
+            if verdict == "stale":
+                expected.append((path, rule))
+    got = registry.stale_allows(stale_root, probe)
+    if not expected or got != sorted(expected):
+        return [f"stale_allow: expected {sorted(expected)}, got {got}"]
+    return []
 
 
 def run_selftest(root: str, engine: str = "auto") -> int:
@@ -114,6 +136,8 @@ def run_selftest(root: str, engine: str = "auto") -> int:
 
     if checked == 0:
         failures.append("no fixtures found")
+    failures.extend(_stale_allow_failures(
+        os.path.join(fixture_dir, "stale_allow")))
     for rid in sorted(registry.RULES):
         if rid in exercised:
             continue

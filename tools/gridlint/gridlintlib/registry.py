@@ -18,6 +18,7 @@ engine produced the finding.
 from __future__ import annotations
 
 import dataclasses
+import os
 
 SOURCE_DIRS = ("src", "bench", "examples", "tools")
 SOURCE_EXTS = (".cpp", ".hpp", ".h", ".cc")
@@ -134,7 +135,8 @@ def rule_applies(rid: str, path: str, hot: bool) -> bool:
 
 
 # File-level allows.  Every entry says WHY the rule does not apply; an
-# unexplained entry is a review failure, not a config.
+# unexplained entry is a review failure, not a config.  An entry must name
+# a file that exists (see stale_allows).
 ALLOW = {
     ("src/simkit/trialpool.cpp", "wallclock"):
         "the trial pool is the harness boundary: it times real threads",
@@ -144,9 +146,6 @@ ALLOW = {
         "ProcessApi IS the sanctioned environment abstraction",
     ("src/gram/jobmanager.cpp", "env"):
         "concrete ProcessApi implementation backing the abstraction",
-    ("src/simkit/log.cpp", "shard-safety"):
-        "process-wide logging config: set by harnesses before runs, atomic "
-        "so a mid-run set cannot tear; log output never feeds results",
     ("src/simkit/sharded.cpp", "shard-safety"):
         "intentionally process-global: shard tokens must stay unique across "
         "every concurrently-live sharded engine (atomic fetch_add, identity "
@@ -162,6 +161,17 @@ ALLOW = {
         "showcase seeds its initial events pre-run from the main thread; "
         "all cross-shard traffic rides the ShardFabric",
 }
+
+
+
+def stale_allows(root: str, allow=None) -> list[tuple[str, str]]:
+    """ALLOW keys whose path names no file under `root`.  An exemption that
+    outlives its file would cover whatever later reuses the name, so the
+    lint fails on one."""
+    allow = ALLOW if allow is None else allow
+    return sorted(key for key in allow
+                  if not os.path.isfile(os.path.join(root, key[0])))
+
 
 SUPPRESS_RE_TEXT = r"gridlint:\s*allow\(([a-z-]+)\)"
 
