@@ -1,5 +1,7 @@
 #include "sched/infoservice.hpp"
 
+#include "simkit/check.hpp"
+
 namespace grid::sched {
 
 LoadInformationService::LoadInformationService(sim::Engine& engine,
@@ -21,6 +23,7 @@ void LoadInformationService::register_resource(std::string contact,
     intern_.emplace(std::move(contact), id);
   }
   Entry& e = entries_[id - 1];
+  if (e.registered && e.sched != nullptr) e.sched->release_mark();
   if (!e.registered) ++registered_count_;
   e.registered = true;
   e.sched = sched;
@@ -37,6 +40,7 @@ void LoadInformationService::unregister_resource(const std::string& contact) {
   Entry& e = entries_[it->second - 1];
   if (!e.registered) return;
   e.registered = false;
+  if (e.sched != nullptr) e.sched->release_mark();
   e.sched = nullptr;  // may be destroyed after unregistration
   --registered_count_;
   // e.snap stays alive for holders of previously returned SnapshotRefs.
@@ -62,7 +66,9 @@ void LoadInformationService::tick() {
 }
 
 void LoadInformationService::refresh(Entry& e) {
-  e.snap = std::make_shared<QueueSnapshot>(e.sched->snapshot());
+  // Perfect-information mode serves live views, so it reads no mark.
+  if (interval_ > 0) e.sched->mark_published(engine_->now());
+  e.snap.reset();  // built by the version's first full-detail read
   e.summary = e.sched->summary();
   e.sched_version = e.sched->version();
   e.published_version = ++next_published_version_;
@@ -80,7 +86,7 @@ void LoadInformationService::publish_now() {
     e.published_at = now;  // the round ran, even if the content held still
     const std::uint64_t v = e.sched->version();
     if (e.published && v != 0 && v == e.sched_version) {
-      ++stats_.snapshots_skipped;  // dirty flag clean: keep the shared copy
+      ++stats_.snapshots_skipped;  // dirty flag clean: keep mark and copy
       continue;
     }
     refresh(e);
@@ -125,10 +131,18 @@ util::Result<LoadInformationService::SnapshotRef>
 LoadInformationService::snapshot_ref(ContactId id) const {
   auto e = counted_lookup(id);
   if (!e.is_ok()) return e.status();
+  const Entry& en = *e.value();
   if (interval_ <= 0) {
-    return std::make_shared<const QueueSnapshot>(e.value()->sched->snapshot());
+    return std::make_shared<const QueueSnapshot>(en.sched->snapshot());
   }
-  return e.value()->snap;
+  if (!en.snap) {
+    en.snap =
+        std::make_shared<const QueueSnapshot>(en.sched->marked_snapshot());
+    ++stats_.snapshots_built;
+    GRID_CHECK(summarize(*en.snap) == en.summary,
+               "lazily built snapshot disagrees with the published summary");
+  }
+  return en.snap;
 }
 
 std::uint64_t LoadInformationService::published_version(ContactId id) const {

@@ -9,16 +9,22 @@
 // One publication, two views of it.  Ranking (predictors, brokers) reads
 // the aggregate `QueueSummary`: O(1) data regardless of queue depth.  The
 // full `QueueSnapshot` is a payload for per-job detail, shared as an
-// immutable `shared_ptr<const QueueSnapshot>`, never deep-copied.  Every
-// query goes through one lookup.
+// immutable `shared_ptr<const QueueSnapshot>`.  Every query goes through
+// one lookup.
 //
 // Scale architecture (O(1k) resources, 100k-deep queues):
 //   - contacts are interned to dense ContactIds once at registration, so
 //     the per-query path never hashes a string or allocates an error
 //     message;
-//   - a publish round re-copies only resources whose scheduler `version()`
-//     moved since the last round (dirty-flag republish); unchanged queues
-//     cost O(1) per round regardless of depth.
+//   - a publish round republishes only resources whose scheduler
+//     `version()` moved since the last round (dirty-flag republish);
+//   - republishing copies no queue.  The round stores the O(1) summary
+//     and sets a mark on the scheduler (LocalScheduler::mark_published),
+//     which from then on logs the departures of jobs queued at the mark.
+//     The first full-detail read of a published version builds its
+//     snapshot from the live queue and that log, and the entry shares the
+//     result with every later reader of the version.  Rounds nobody reads
+//     in full cost O(1) per resource regardless of depth.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +54,7 @@ class LoadInformationService {
     std::uint64_t publish_rounds = 0;
     std::uint64_t snapshots_refreshed = 0;  // scheduler version moved
     std::uint64_t snapshots_skipped = 0;    // dirty flag said "unchanged"
+    std::uint64_t snapshots_built = 0;      // first full read of a version
     std::uint64_t queries = 0;
     std::uint64_t misses = 0;
   };
@@ -61,8 +68,9 @@ class LoadInformationService {
   LoadInformationService& operator=(const LoadInformationService&) = delete;
 
   /// Registers a resource under its manager contact string.  The scheduler
-  /// must outlive the service.  Re-registering a known contact revives its
-  /// ContactId.
+  /// must outlive the service and be registered at most once at a time
+  /// (registration owns its publication mark).  Re-registering a known
+  /// contact revives its ContactId.
   void register_resource(std::string contact, const LocalScheduler* sched);
   void unregister_resource(const std::string& contact);
 
@@ -81,8 +89,8 @@ class LoadInformationService {
   /// invalid / unregistered / never-published ids.
   util::Result<QueueSummary> summary(ContactId id) const;
 
-  /// Most recently published full snapshot, shared (no copy); same errors
-  /// as summary().
+  /// Most recently published full snapshot, shared (no copy); the first
+  /// read of a published version builds it.  Same errors as summary().
   util::Result<SnapshotRef> snapshot_ref(ContactId id) const;
 
   /// Version of the published content: moves exactly when a publish round
@@ -104,7 +112,7 @@ class LoadInformationService {
   struct Entry {
     std::string contact;
     const LocalScheduler* sched = nullptr;
-    SnapshotRef snap;
+    mutable SnapshotRef snap;  // built on first read, reset by refresh()
     QueueSummary summary;
     std::uint64_t sched_version = 0;      // scheduler version at last refresh
     std::uint64_t published_version = 0;  // bumped on every content refresh

@@ -5,7 +5,8 @@
 // rest is written once here: the descriptor check over one queued+running
 // id index, the queued and running records, the runtime and wall-time
 // timers, the end/cancel/complete paths, the busy and queued-work
-// accounting, version(), summary() and snapshot().
+// accounting, version(), summary() and snapshot(), and the publication
+// mark behind marked_snapshot().
 //
 // A policy derives from JobLifecycle<Tag>, where `Tag` is the per-job data
 // it fixes at submit, and supplies its start decision (schedule(), rerun
@@ -13,16 +14,64 @@
 // start, vacate() at end).  Event order is part of the contract: a start
 // arms the runtime timer, then the wall timer, then runs on_start; an end
 // cancels its timers, runs vacate() and on_end, then reruns schedule().
+//
+// Publication is lazy.  The queue is append-at-tail and erase-anywhere, so
+// the jobs queued at a mark that are still queued stay its head, in order.
+// A mark records the queue length and the processor counts; from then on
+// each job that leaves that head is logged with its index in it.  Undoing
+// those removals (OriginalPositions) puts each departed job back where the
+// mark saw it, so the head merged with the log is exactly the queue at the
+// mark, and no round pays for a copy nobody reads.  The log never holds
+// more jobs than the mark saw, so a mark left in place stays cheap.
+// Positions come from the log rather than a per-job sequence number: one
+// more field would grow `Queued` and slow every deep queue's middle
+// erases.
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <deque>
+#include <utility>
+#include <vector>
 
 #include "sched/scheduler.hpp"
 #include "simkit/check.hpp"
 #include "simkit/idmap.hpp"
 
 namespace grid::sched {
+
+/// Maps removals from a list of `n` elements back to the positions the
+/// elements held in the original list: take(i) removes the element now at
+/// index i and returns its original position.  A Fenwick tree over the
+/// elements still present: O(n) to build, O(log n) per take.
+class OriginalPositions {
+ public:
+  explicit OriginalPositions(std::size_t n) : tree_(n + 1) {
+    for (std::size_t i = 1; i <= n; ++i) {
+      tree_[i] = static_cast<std::uint32_t>(i & (~i + 1));  // all present
+    }
+  }
+
+  std::size_t take(std::size_t index) {
+    std::size_t pos = 0;  // finds the (index + 1)-th element still present
+    std::size_t rank = index + 1;
+    for (std::size_t step = std::bit_floor(tree_.size() - 1); step > 0;
+         step >>= 1) {
+      if (pos + step < tree_.size() && tree_[pos + step] < rank) {
+        pos += step;
+        rank -= tree_[pos];
+      }
+    }
+    for (std::size_t i = pos + 1; i < tree_.size(); i += i & (~i + 1)) {
+      --tree_[i];
+    }
+    return pos;
+  }
+
+ private:
+  std::vector<std::uint32_t> tree_;  // 1-based counts of present elements
+};
 
 template <typename Tag>
 class JobLifecycle : public LocalScheduler {
@@ -62,12 +111,49 @@ class JobLifecycle : public LocalScheduler {
     s.total_processors = total_processors();
     s.busy_processors = busy_;
     s.queued.reserve(queue_.size());
-    for (const Queued& q : queue_) {
-      s.queued.push_back(QueuedJobInfo{q.desc.id, q.desc.count,
-                                       q.desc.estimated_runtime,
-                                       q.submitted_at});
-    }
+    for (const Queued& q : queue_) s.queued.push_back(info(q));
     return s;
+  }
+
+  void mark_published(sim::Time taken_at) const override {
+    mark_ = Mark{queue_.size(), taken_at, total_processors(), busy_};
+    departed_.clear();
+  }
+
+  QueueSnapshot marked_snapshot() const override {
+    QueueSnapshot s;
+    s.taken_at = mark_.taken_at;
+    s.total_processors = mark_.total;
+    s.busy_processors = mark_.busy;
+    GRID_CHECK(departed_.size() <= mark_.queued &&
+                   mark_.queued - departed_.size() <= queue_.size(),
+               "departure log out of step with the marked queue");
+    s.queued.reserve(mark_.queued);
+    // Where each departed job stood at the mark, in queue order.
+    std::vector<std::pair<std::size_t, const QueuedJobInfo*>> gone;
+    if (!departed_.empty()) {
+      gone.reserve(departed_.size());
+      OriginalPositions positions(mark_.queued);
+      for (const Departed& d : departed_) {
+        gone.emplace_back(positions.take(d.index), &d.info);
+      }
+      std::sort(gone.begin(), gone.end(),
+                [](const auto& x, const auto& y) { return x.first < y.first; });
+    }
+    std::size_t pos = 0;
+    auto q = queue_.begin();
+    for (const auto& [at, job] : gone) {
+      for (; pos < at; ++pos, ++q) s.queued.push_back(info(*q));
+      s.queued.push_back(*job);
+      ++pos;
+    }
+    for (; pos < mark_.queued; ++pos, ++q) s.queued.push_back(info(*q));
+    return s;
+  }
+
+  void release_mark() const override {
+    mark_ = Mark{};
+    departed_ = {};
   }
 
   QueueSummary summary() const override {
@@ -131,6 +217,7 @@ class JobLifecycle : public LocalScheduler {
 
   /// Starts the queued job at `it` now.
   void start(QueueIt it) {
+    log_departure(it);
     Queued q = std::move(*it);
     queue_.erase(it);
     queued_work_ -=
@@ -157,6 +244,7 @@ class JobLifecycle : public LocalScheduler {
   /// Removes the queued job at `it`, reporting it cancelled; the caller
   /// reruns its decision.
   void drop(QueueIt it) {
+    log_departure(it);
     Queued q = std::move(*it);
     queue_.erase(it);
     ids_.erase(q.desc.id);
@@ -193,6 +281,31 @@ class JobLifecycle : public LocalScheduler {
   std::uint64_t departures_ = 0;
 
  private:
+  /// What the mark pinned; queued 0 (no mark) logs nothing.
+  struct Mark {
+    std::size_t queued = 0;  // queue length at the mark
+    sim::Time taken_at = 0;
+    std::int32_t total = 0;
+    std::int32_t busy = 0;
+  };
+  struct Departed {
+    std::size_t index = 0;  // in the marked head when it left
+    QueuedJobInfo info;
+  };
+
+  static QueuedJobInfo info(const Queued& q) {
+    return QueuedJobInfo{q.desc.id, q.desc.count, q.desc.estimated_runtime,
+                         q.submitted_at};
+  }
+
+  /// Logs the queued job at `it` if it leaves the head the mark saw.
+  void log_departure(QueueIt it) {
+    const auto index = static_cast<std::size_t>(it - queue_.begin());
+    if (index < mark_.queued - departed_.size()) {
+      departed_.push_back(Departed{index, info(*it)});
+    }
+  }
+
   void begin(JobId id, Running& r, const StartFn& on_start) {
     r.started = true;
     busy_ += r.desc.count;
@@ -214,6 +327,9 @@ class JobLifecycle : public LocalScheduler {
   std::int32_t busy_ = 0;
   std::int64_t queued_work_ = 0;  // sum of count*estimate over the queue
   std::uint64_t version_ = 1;     // dirty-flag counter (0 = untracked)
+  // Publication bookkeeping, not scheduler state (version() ignores it).
+  mutable Mark mark_;
+  mutable std::vector<Departed> departed_;  // queued at the mark, since left
 };
 
 }  // namespace grid::sched

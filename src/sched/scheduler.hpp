@@ -72,6 +72,8 @@ struct QueueSummary {
   std::int32_t free_processors() const {
     return total_processors - busy_processors;
   }
+
+  bool operator==(const QueueSummary&) const = default;
 };
 
 /// Derives the aggregate view from a full snapshot (O(queue depth); the
@@ -125,6 +127,24 @@ class LocalScheduler {
 
   /// Human-readable policy name ("fork", "fcfs", "easy-backfill", ...).
   virtual std::string policy() const = 0;
+
+  /// Publication support for the information service, which holds a
+  /// scheduler through one registration at a time.  mark_published() pins
+  /// the state a publish round at `taken_at` (the current time) saw;
+  /// marked_snapshot() returns exactly that state, with that `taken_at`,
+  /// until the next mark; release_mark() drops the pin.  None of them is
+  /// an observable state change: version() does not move.  The default
+  /// copies the snapshot at the mark; JobLifecycle logs departures instead
+  /// and rebuilds on demand.
+  virtual void mark_published(sim::Time taken_at) const {
+    marked_ = snapshot();
+    marked_.taken_at = taken_at;
+  }
+  virtual QueueSnapshot marked_snapshot() const { return marked_; }
+  virtual void release_mark() const { marked_ = QueueSnapshot{}; }
+
+ private:
+  mutable QueueSnapshot marked_;  // the default's copy at the mark
 };
 
 }  // namespace grid::sched

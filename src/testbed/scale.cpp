@@ -246,10 +246,10 @@ void ScaleScenario::launch_transaction() {
   auto on_selected =
       [this, mech, count, atomic](
           util::Result<std::vector<info::ResourceBroker::Placement>> result) {
-        ScaleMetrics& m = shards_[0].metrics;
+        ScaleMetrics& metrics = shards_[0].metrics;
         if (!result.is_ok()) {
-          ++m.txn_select_failed;
-          mix(m, m.txn_select_failed);
+          ++metrics.txn_select_failed;
+          mix(metrics, metrics.txn_select_failed);
           return;
         }
         core::RequestCallbacks callbacks;
@@ -263,13 +263,13 @@ void ScaleScenario::launch_transaction() {
         auto id_holder = std::make_shared<core::RequestId>(0);
         callbacks.on_terminal = [this, mech,
                                  id_holder](const util::Status& status) {
-          ScaleMetrics& m = shards_[0].metrics;
+          ScaleMetrics& tally = shards_[0].metrics;
           if (status.is_ok()) {
-            ++m.txn_done;
+            ++tally.txn_done;
           } else {
-            ++m.txn_aborted;
+            ++tally.txn_aborted;
           }
-          mix(m, static_cast<std::uint64_t>(grid_.engine().now()) ^
+          mix(tally, static_cast<std::uint64_t>(grid_.engine().now()) ^
                      (status.is_ok() ? 0x90ULL : 0xbadULL));
           const core::RequestId id = *id_holder;
           grid_.engine().schedule_after(

@@ -2,9 +2,17 @@
 // broker (src/info).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <utility>
+
 #include "info/broker.hpp"
 #include "info/gis.hpp"
 #include "sched/batch.hpp"
+#include "sched/fork.hpp"
+#include "sched/reference.hpp"
+#include "sched/reservation.hpp"
+#include "simkit/rng.hpp"
 #include "test_util.hpp"
 
 namespace grid {
@@ -287,7 +295,7 @@ TEST_F(GisFixture, DirtyFlagRepublishSkipsUnchangedQueues) {
             before.snapshots_skipped + 2);
   EXPECT_EQ(service->published_version(id_busy), v_busy);
   EXPECT_EQ(service->published_version(id_idle), v_idle);
-  // A submit dirties exactly one scheduler; only that entry re-copies.
+  // A submit dirties exactly one scheduler; only that entry republishes.
   sched::JobDescriptor d;
   d.id = 5;
   d.count = 8;
@@ -300,6 +308,303 @@ TEST_F(GisFixture, DirtyFlagRepublishSkipsUnchangedQueues) {
             before.snapshots_refreshed + 1);
   EXPECT_GT(service->published_version(id_busy), v_busy);
   EXPECT_EQ(service->published_version(id_idle), v_idle);
+}
+
+// ---- lazy publication ------------------------------------------------------
+//
+// A publish round stores a mark, not a copy; the first full read of a
+// published version builds the snapshot from the live queue and the
+// departure log.  The oracle keeps the eager copy a round used to make and
+// requires the lazily built snapshot to equal it field for field, in queue
+// order, however the queue moved between the round and the read.
+
+void expect_same_snapshot(const sched::QueueSnapshot& got,
+                          const sched::QueueSnapshot& want) {
+  EXPECT_EQ(got.taken_at, want.taken_at);
+  EXPECT_EQ(got.total_processors, want.total_processors);
+  EXPECT_EQ(got.busy_processors, want.busy_processors);
+  ASSERT_EQ(got.queued.size(), want.queued.size());
+  for (std::size_t i = 0; i < got.queued.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(got.queued[i].id, want.queued[i].id);
+    EXPECT_EQ(got.queued[i].count, want.queued[i].count);
+    EXPECT_EQ(got.queued[i].estimated_runtime,
+              want.queued[i].estimated_runtime);
+    EXPECT_EQ(got.queued[i].submitted_at, want.queued[i].submitted_at);
+  }
+}
+
+enum class OracleKind { kFcfs, kEasy, kReservation, kFork, kReference };
+
+class LazyPublicationOracle {
+ public:
+  LazyPublicationOracle(OracleKind kind, std::uint64_t seed) : rng_(seed) {
+    switch (kind) {
+      case OracleKind::kFcfs:
+        sched_ = std::make_unique<sched::BatchScheduler>(engine_, kProcs);
+        break;
+      case OracleKind::kEasy:
+        sched_ = std::make_unique<sched::BatchScheduler>(
+            engine_, kProcs, sched::Backfill::kEasy);
+        break;
+      case OracleKind::kReservation: {
+        auto res = std::make_unique<sched::ReservationScheduler>(
+            engine_, kProcs, 20 * sim::kSecond);
+        res_ = res.get();
+        sched_ = std::move(res);
+        break;
+      }
+      case OracleKind::kFork:
+        // Nominal size 0: the advertised total follows busy, so the mark
+        // must pin it too.
+        sched_ = std::make_unique<sched::ForkScheduler>(
+            engine_, 500 * sim::kMillisecond);
+        break;
+      case OracleKind::kReference:  // LocalScheduler's copy-at-mark default
+        sched_ = std::make_unique<sched::ReferenceBackfill>(
+            engine_, kProcs, sched::Backfill::kEasy);
+        break;
+    }
+    service_ = std::make_unique<sched::LoadInformationService>(
+        engine_, 10 * sim::kSecond);
+    service_->register_resource("rm", sched_.get());
+    id_ = service_->resolve("rm");
+    keep_eager();
+  }
+
+  void step() {
+    const sim::Time until =
+        engine_.now() + rng_.uniform_int(0, 3000) * sim::kMillisecond;
+    engine_.schedule_at(until, [] {});
+    engine_.run_until(until);
+    const std::int64_t op = rng_.uniform_int(0, 99);
+    if (op < 35) {
+      submit();
+    } else if (op < 45) {
+      if (!live_.empty()) sched_->cancel(pick_live());
+    } else if (op < 53) {
+      if (!live_.empty()) sched_->complete(pick_live());
+    } else if (op < 62) {
+      reservation_op();
+    } else if (op < 76) {
+      publish();
+    } else if (op < 97) {
+      read();
+    } else {
+      reregister();
+    }
+  }
+
+  std::size_t reads() const { return reads_; }
+  std::size_t moved_reads() const { return moved_reads_; }
+  std::size_t versions_read() const { return versions_read_.size(); }
+
+ private:
+  static constexpr std::int32_t kProcs = 16;
+
+  /// What an eager publication at this round would have held.
+  void keep_eager() {
+    eager_ = sched_->snapshot();
+    eager_.taken_at = engine_.now();
+  }
+
+  sched::JobId pick_live() {
+    return live_[static_cast<std::size_t>(
+        rng_.uniform_int(0, static_cast<std::int64_t>(live_.size()) - 1))];
+  }
+
+  sched::JobDescriptor random_job(std::int32_t max_count) {
+    sched::JobDescriptor d;
+    d.id = next_id_++;
+    d.count = static_cast<std::int32_t>(rng_.uniform_int(1, max_count));
+    // Runtime 0 is owner-controlled: it runs until complete() or cancel().
+    d.runtime = rng_.uniform_int(0, 2) == 0
+                    ? 0
+                    : rng_.uniform_int(1, 40) * sim::kSecond;
+    d.estimated_runtime = rng_.uniform_int(0, 40) * sim::kSecond;
+    return d;
+  }
+
+  sched::LocalScheduler::EndFn on_end() {
+    return [this](sched::JobId id, sched::EndReason) { forget(id); };
+  }
+
+  void forget(sched::JobId id) {
+    const auto it = std::find(live_.begin(), live_.end(), id);
+    if (it != live_.end()) {
+      *it = live_.back();
+      live_.pop_back();
+    }
+  }
+
+  void submit() {
+    const sched::JobDescriptor d = random_job(kProcs);
+    live_.push_back(d.id);
+    if (!sched_->submit(d, nullptr, on_end()).is_ok()) forget(d.id);
+  }
+
+  void reservation_op() {
+    if (res_ == nullptr) return;
+    if (!rids_.empty() && rng_.uniform_int(0, 2) == 0) {
+      const std::size_t i = static_cast<std::size_t>(
+          rng_.uniform_int(0, static_cast<std::int64_t>(rids_.size()) - 1));
+      res_->cancel_reservation(rids_[i]);
+      rids_[i] = rids_.back();
+      rids_.pop_back();
+      return;
+    }
+    const sim::Time start =
+        engine_.now() + rng_.uniform_int(0, 20) * sim::kSecond;
+    const std::int32_t count =
+        static_cast<std::int32_t>(rng_.uniform_int(1, kProcs / 2));
+    const sim::Time end = start + rng_.uniform_int(5, 40) * sim::kSecond;
+    auto r = res_->reserve(start, end, count);
+    if (!r.is_ok()) return;
+    rids_.push_back(r.value().id);
+    // Bound jobs wait in the queue until the window opens.
+    for (std::int64_t n = rng_.uniform_int(1, 3); n > 0; --n) {
+      const sched::JobDescriptor d = random_job(count);
+      live_.push_back(d.id);
+      if (!res_->submit_reserved(d, r.value().id, nullptr, on_end()).is_ok()) {
+        forget(d.id);
+      }
+    }
+  }
+
+  void publish() {
+    const std::uint64_t before = service_->published_version(id_);
+    service_->publish_now();
+    // A skipped round (scheduler version unchanged) keeps the old content.
+    if (service_->published_version(id_) != before) keep_eager();
+  }
+
+  void read() {
+    auto ref = service_->snapshot_ref(id_);
+    ASSERT_TRUE(ref.is_ok()) << ref.status().to_string();
+    ++reads_;
+    const sched::QueueSnapshot live = sched_->snapshot();
+    if (live.busy_processors != eager_.busy_processors ||
+        live.queued.size() != eager_.queued.size()) {
+      ++moved_reads_;
+    }
+    expect_same_snapshot(*ref.value(), eager_);
+    versions_read_.insert(service_->published_version(id_));
+    // One build per published version read, however many reads.
+    EXPECT_EQ(service_->stats().snapshots_built, versions_read_.size());
+  }
+
+  void reregister() {
+    service_->unregister_resource("rm");
+    EXPECT_FALSE(service_->snapshot_ref(id_).is_ok());
+    // The scheduler moves on unmarked: nothing may depend on that.
+    for (int i = 0; i < 3; ++i) {
+      submit();
+      if (!live_.empty()) sched_->cancel(pick_live());
+    }
+    service_->register_resource("rm", sched_.get());
+    keep_eager();
+  }
+
+  sim::Engine engine_;
+  sim::Rng rng_;
+  std::unique_ptr<sched::LocalScheduler> sched_;
+  sched::ReservationScheduler* res_ = nullptr;
+  std::unique_ptr<sched::LoadInformationService> service_;
+  sched::LoadInformationService::ContactId id_ = 0;
+  sched::QueueSnapshot eager_;
+  std::vector<sched::JobId> live_;
+  std::vector<sched::ReservationId> rids_;
+  std::set<std::uint64_t> versions_read_;
+  sched::JobId next_id_ = 1;
+  std::size_t reads_ = 0;
+  std::size_t moved_reads_ = 0;
+};
+
+TEST(LazyPublication, OriginalPositionsUndoRemovals) {
+  sim::Rng rng(7);
+  for (std::size_t n : {1u, 2u, 7u, 64u, 1000u}) {
+    std::vector<std::size_t> list(n);
+    for (std::size_t i = 0; i < n; ++i) list[i] = i;
+    sched::OriginalPositions positions(n);
+    while (!list.empty()) {
+      const auto i = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(list.size()) - 1));
+      ASSERT_EQ(positions.take(i), list[i]) << "n " << n;
+      list.erase(list.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+  }
+}
+
+TEST(LazyPublication, BuiltSnapshotEqualsEagerCopyAtTheRound) {
+  const std::pair<OracleKind, const char*> kinds[] = {
+      {OracleKind::kFcfs, "fcfs"},
+      {OracleKind::kEasy, "easy"},
+      {OracleKind::kReservation, "reservation"},
+      {OracleKind::kFork, "fork"},
+      {OracleKind::kReference, "reference"},
+  };
+  for (const auto& [kind, name] : kinds) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(std::string(name) + " seed " + std::to_string(seed));
+      LazyPublicationOracle oracle(kind, seed * 0x9e37ULL);
+      for (int i = 0; i < 500 && !::testing::Test::HasFatalFailure(); ++i) {
+        oracle.step();
+      }
+      EXPECT_GT(oracle.versions_read(), 10u);
+      // Reads after the queue moved are what exercise the departure log.
+      EXPECT_GT(oracle.moved_reads(), oracle.reads() / 4);
+    }
+  }
+}
+
+TEST(LazyPublication, BuildsOncePerPublishedVersionReadInFull) {
+  sim::Engine engine;
+  sched::BatchScheduler s(engine, 4);
+  sched::LoadInformationService service(engine, 10 * sim::kSecond);
+  service.register_resource("rm", &s);
+  const auto id = service.resolve("rm");
+  sched::JobDescriptor d;
+  d.count = 4;
+  for (sched::JobId i = 1; i <= 8; ++i) {  // one running, the rest queued
+    d.id = i;
+    ASSERT_TRUE(s.submit(d, nullptr, nullptr).is_ok());
+  }
+  // Rounds that nobody reads in full build nothing; summaries are eager.
+  for (sched::JobId i = 9; i <= 11; ++i) {
+    d.id = i;
+    ASSERT_TRUE(s.submit(d, nullptr, nullptr).is_ok());
+    service.publish_now();
+    ASSERT_TRUE(service.summary(id).is_ok());
+  }
+  EXPECT_EQ(service.stats().snapshots_refreshed, 4u);  // + registration
+  EXPECT_EQ(service.stats().snapshots_built, 0u);
+  // k reads of one published version build it once and share it.
+  s.complete(1);  // the queue moves after the round; the reads must not
+  auto first = service.snapshot_ref(id);
+  ASSERT_TRUE(first.is_ok());
+  for (int k = 0; k < 5; ++k) {
+    auto again = service.snapshot_ref(id);
+    ASSERT_TRUE(again.is_ok());
+    EXPECT_EQ(again.value().get(), first.value().get());
+  }
+  EXPECT_EQ(service.stats().snapshots_built, 1u);
+  EXPECT_EQ(first.value()->queued.size(), 10u);
+  EXPECT_EQ(first.value()->queued.front().id, 2u);
+  // The completion moved the version: that round republishes, and a round
+  // with no change after it skips and builds nothing.
+  service.publish_now();
+  const std::uint64_t v = service.published_version(id);
+  const auto before = service.stats();
+  service.publish_now();
+  EXPECT_EQ(service.stats().snapshots_skipped, before.snapshots_skipped + 1);
+  EXPECT_EQ(service.published_version(id), v);
+  EXPECT_EQ(service.stats().snapshots_built, 1u);
+  auto fresh = service.snapshot_ref(id);
+  ASSERT_TRUE(fresh.is_ok());
+  EXPECT_EQ(service.stats().snapshots_built, 2u);
+  EXPECT_EQ(fresh.value()->queued.size(), 9u);
+  // The held snapshot still shows its own round.
+  EXPECT_EQ(first.value()->queued.size(), 10u);
 }
 
 TEST(LoadInformationServicePerfect, LiveViewsAreNeverCacheable) {
