@@ -14,13 +14,23 @@
 // busy processors, accept count) — a miniature of tests/sched_diff_test.
 //
 // Sweeps queue depth 1k -> 100k (--quick shrinks to 1k/4k for ctest).
-// Writes measurements to BENCH_sched.json (override with argv[1]);
+//
+// A second row times full EASY passes over a deep queue, the cost a job
+// end pays: one of the running jobs completes, freeing processors that
+// every queued candidate is too wide for, so the pass walks the whole
+// queue and starts nothing.  A short job then backfills into the freed
+// processors through the submit fast path, restoring the state.  The row
+// reports queued jobs walked per second, the per-job scan cost.
+//
+// Writes measurements as JSON to the path given as an argument (e.g. the
+// committed BENCH_sched.json), and nowhere without one;
 // scripts/run_benches.sh diffs the JSON against the committed baseline.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sched/batch.hpp"
@@ -67,8 +77,9 @@ struct World {
     }
   }
 
-  /// Saturate the machine, block the head, grow the queue to `depth`.
-  void fill_to(std::size_t depth) {
+  /// Saturate the machine, block the head, grow the queue to `depth`
+  /// with candidates `width` wide.
+  void fill_to(std::size_t depth, std::int32_t width = 2) {
     // Running load: staggered estimated ends give the profile (and the
     // reference's shadow sort) a realistic breakpoint population.
     for (std::int32_t i = 0; i < kFillJobs; ++i) {
@@ -80,7 +91,7 @@ struct World {
     // Queue filler: too wide for the zero free processors, too long to
     // finish before the shadow — held, exactly like the measured submits.
     while (sched.queue_length() < depth) {
-      submit(2, 500000 * sim::kSecond);
+      submit(width, 500000 * sim::kSecond);
     }
   }
 };
@@ -116,10 +127,33 @@ struct Row {
   double speedup = 0;
 };
 
+/// Full-pass row: `decisions_per_s` counts passes.
+template <typename Scheduler>
+Measured run_full_passes(std::size_t depth, std::uint64_t passes) {
+  World<Scheduler> w;
+  // Candidates twice as wide as one running job never fit what one end
+  // frees.
+  w.fill_to(depth, 2 * kFillWidth);
+  sched::JobId running = 1;  // the first running job
+  const auto t0 = std::chrono::steady_clock::now();
+  for (std::uint64_t i = 0; i < passes; ++i) {
+    w.sched.complete(running);  // frees kFillWidth: one full pass
+    running = w.next_id;
+    w.submit(kFillWidth, 1000 * sim::kSecond);  // backfills at once
+  }
+  const double dt = seconds_since(t0);
+  Measured m;
+  m.decisions_per_s = static_cast<double>(passes) / dt;
+  m.accepted = w.accepted;
+  m.queue_length = w.sched.queue_length();
+  m.busy = w.sched.busy_processors();
+  return m;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* out_path = "BENCH_sched.json";
+  const char* out_path = nullptr;
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
@@ -164,6 +198,26 @@ int main(int argc, char** argv) {
     rows.push_back(row);
   }
 
+  // Full-pass row, at the sweep's middle depth.
+  const std::size_t pass_depth = quick ? 1000 : 10000;
+  const std::uint64_t passes = quick ? 200 : 2000;
+  const Measured pass = run_full_passes<sched::BatchScheduler>(pass_depth, passes);
+  const Measured pass_ref =
+      run_full_passes<sched::ReferenceBackfill>(pass_depth, passes);
+  const bool pass_agreed = pass.accepted == pass_ref.accepted &&
+                           pass.queue_length == pass_ref.queue_length &&
+                           pass.busy == pass_ref.busy &&
+                           pass.queue_length == pass_depth &&
+                           pass.busy == kProcessors;
+  if (!pass_agreed) {
+    agreed = false;
+    std::printf("DISAGREEMENT in full passes at depth %zu: queue %zu/%zu "
+                "busy %d/%d\n",
+                pass_depth, pass.queue_length, pass_ref.queue_length,
+                pass.busy, pass_ref.busy);
+  }
+  const double pass_mjobs = pass.decisions_per_s * pass_depth / 1e6;
+
   testbed::Table table({"queue_depth", "ref_kdec/s", "profile_kdec/s",
                         "ref_us/dec", "profile_us/dec", "speedup"});
   for (const Row& r : rows) {
@@ -176,12 +230,23 @@ int main(int argc, char** argv) {
   }
   testbed::print_table(table);
 
-  std::FILE* f = std::fopen(out_path, "w");
+  testbed::Table passes_table(
+      {"queue_depth", "profile_us/pass", "profile_ns/job", "ref_us/pass"});
+  passes_table.add_row({std::to_string(pass_depth),
+                        testbed::Table::num(1e6 / pass.decisions_per_s, 1),
+                        testbed::Table::num(1e3 / pass_mjobs, 2),
+                        testbed::Table::num(1e6 / pass_ref.decisions_per_s, 1)});
+  std::printf("\nFull EASY pass (a job end; every candidate too wide):\n");
+  testbed::print_table(passes_table);
+
+  std::FILE* f = out_path != nullptr ? std::fopen(out_path, "w") : nullptr;
   if (f != nullptr) {
     std::fprintf(f,
                  "{\n"
                  "  \"schema\": \"grid.bench_sched.v1\",\n"
-                 "  \"sched\": {\n");
+                 "  \"hw_threads\": %u,\n"
+                 "  \"sched\": {\n",
+                 std::thread::hardware_concurrency());
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
       // The reference oracle's absolute throughput is deliberately left
@@ -196,10 +261,13 @@ int main(int argc, char** argv) {
                    r.depth, r.profile.decisions_per_s / 1e3, r.speedup);
     }
     std::fprintf(f,
-                 "    \"speedup_at_deepest\": %.1f\n"
+                 "    \"speedup_at_deepest\": %.1f,\n"
+                 "    \"full_pass_depth_%zu\": {\n"
+                 "      \"profile_Mjobs_per_sec\": %.1f\n"
+                 "    }\n"
                  "  }\n"
                  "}\n",
-                 rows.back().speedup);
+                 rows.back().speedup, pass_depth, pass_mjobs);
     std::fclose(f);
     std::printf("\nwrote %s\n", out_path);
   }

@@ -82,28 +82,28 @@ void BatchScheduler::submit_fast_path() {
   // expired, a backfilled job returned spare capacity early — falls back
   // to the full pass, which recomputes everything exactly.
   const sim::Time now = engine_->now();
-  const Queued& head = queue_.front();
-  const Profile::Fit fit = profile_.earliest_fit(now, head.desc.count);
-  const std::int32_t extra = fit.free - head.desc.count;
+  const std::int32_t head_count = queue_.front().count;
+  const Profile::Fit fit = profile_.earliest_fit(now, head_count);
+  const std::int32_t extra = fit.free - head_count;
   if (fit.at != cached_shadow_ || extra != cached_extra_) {
     schedule();
     return;
   }
-  const Queued& cand = queue_.back();
-  if (cand.desc.count > free_processors()) return;
-  const sim::Time est = backfill_estimate(cand.desc);
+  const QueueKey& cand = queue_.back();
+  if (cand.count > free_processors()) return;
+  const sim::Time est = backfill_estimate(cand);
   const bool ends_before_shadow = cached_shadow_ != sim::kTimeNever &&
                                   est > 0 && now + est <= cached_shadow_;
-  const bool within_extra = cand.desc.count <= cached_extra_;
+  const bool within_extra = cand.count <= cached_extra_;
   if (!ends_before_shadow && !within_extra) return;
-  if (!ends_before_shadow) cached_extra_ -= cand.desc.count;
+  if (!ends_before_shadow) cached_extra_ -= cand.count;
   // The admission continues the pass that cached the shadow state, so the
   // start runs under the same re-entrancy discipline as a full pass: an
   // end inside the start callback must not trigger a nested fresh pass.
   scheduling_ = true;
   const std::uint64_t gen = departures_;
   const std::size_t stable_size = queue_.size() - 1;
-  start(queue_.end() - 1);
+  start(stable_size);
   if (departures_ != gen || queue_.size() != stable_size) {
     // The start callback ended, cancelled, or submitted jobs re-entrantly.
     // Finish the pass the way the oracle would: rescan the whole queue
@@ -139,8 +139,8 @@ void BatchScheduler::schedule() {
   cache_valid_ = false;
   profile_.advance_to(engine_->now());
   // FCFS: start head jobs while they fit.
-  while (!queue_.empty() && queue_.front().desc.count <= free_processors()) {
-    start(queue_.begin());
+  while (!queue_.empty() && queue_.front().count <= free_processors()) {
+    start(0);
   }
   if (backfill_ == Backfill::kEasy && !queue_.empty()) {
     // Shadow state: the earliest instant the head job could start assuming
@@ -148,7 +148,7 @@ void BatchScheduler::schedule() {
     // would leave spare then.  One profile query instead of sorting the
     // running set.  Frozen for the whole pass (the EASY contract).
     const sim::Time now = engine_->now();
-    const std::int32_t head_count = queue_.front().desc.count;
+    const std::int32_t head_count = queue_.front().count;
     const Profile::Fit fit = profile_.earliest_fit(now, head_count);
     const sim::Time shadow = fit.at;
     const std::uint64_t pass_gen = departures_;
@@ -166,24 +166,26 @@ void BatchScheduler::schedule() {
 std::int32_t BatchScheduler::backfill_scan(sim::Time now, sim::Time shadow,
                                            std::int32_t extra) {
   // Backfill jobs behind the head that fit now and either end by the shadow
-  // time or use only the head job's spare processors.
-  for (std::size_t i = 1; i < queue_.size();) {
-    const Queued& cand = queue_[i];
-    if (cand.desc.count > free_processors()) {
+  // time or use only the head job's spare processors.  Every queued job
+  // needs a processor, so with none free the rest of the scan would start
+  // nothing.
+  for (std::size_t i = 1; i < queue_.size() && free_processors() > 0;) {
+    const QueueKey& cand = queue_[i];
+    if (cand.count > free_processors()) {
       ++i;
       continue;
     }
-    const sim::Time est = backfill_estimate(cand.desc);
+    const sim::Time est = backfill_estimate(cand);
     const bool ends_before_shadow =
         shadow != sim::kTimeNever && est > 0 && now + est <= shadow;
-    const bool within_extra = cand.desc.count <= extra;
+    const bool within_extra = cand.count <= extra;
     if (!ends_before_shadow && !within_extra) {
       ++i;
       continue;
     }
-    if (!ends_before_shadow) extra -= cand.desc.count;
+    if (!ends_before_shadow) extra -= cand.count;
     const std::uint64_t gen = departures_;
-    start(queue_.begin() + static_cast<std::ptrdiff_t>(i));
+    start(i);
     // Starting a job only tightens the admission conditions, so the scan
     // continues in place — unless the start callback ended or cancelled a
     // job re-entrantly, where the oracle scan's restart-from-the-front
@@ -193,13 +195,13 @@ std::int32_t BatchScheduler::backfill_scan(sim::Time now, sim::Time shadow,
   return extra;
 }
 
-void BatchScheduler::occupy(const Queued& q, Running& r) {
+void BatchScheduler::occupy(const QueueKey& k, Running& r) {
   const sim::Time now = engine_->now();
   r.est_end = estimated_end(r.desc, now);
   if (history_.size() < history_capacity_) {
-    history_.push_back(WaitObservation{q.submitted_at, now, q.desc.count,
-                                       q.tag.queue_length,
-                                       q.tag.queued_work});
+    history_.push_back(WaitObservation{k.submitted_at, now, k.count,
+                                       r.tag.queue_length,
+                                       r.tag.queued_work});
   }
   profile_.reserve(now, r.est_end, r.desc.count);
   if (r.est_end == sim::kTimeNever) unknown_busy_ += r.desc.count;

@@ -66,7 +66,7 @@ class BatchScheduler final : public JobLifecycle<SubmitLoad> {
  private:
   /// Full scheduling pass: FCFS holds, then one EASY scan of the queue.
   void schedule() override;
-  void occupy(const Queued& q, Running& r) override;
+  void occupy(const QueueKey& k, Running& r) override;
   void vacate(const Running& r) override;
   /// The EASY scan under a frozen (shadow, extra): starts admissible
   /// candidates, returns the remaining extra.  Restarts from the front
@@ -84,8 +84,8 @@ class BatchScheduler final : public JobLifecycle<SubmitLoad> {
   sim::Time estimated_end(const JobDescriptor& d, sim::Time started) const;
   /// Admission estimate for backfill: estimate else runtime (no wall
   /// fallback — mirrors the seed scan and the reference oracle).
-  static sim::Time backfill_estimate(const JobDescriptor& d) {
-    return d.estimated_runtime > 0 ? d.estimated_runtime : d.runtime;
+  sim::Time backfill_estimate(const QueueKey& k) const {
+    return k.estimated_runtime > 0 ? k.estimated_runtime : runtime_of(k);
   }
 
   Backfill backfill_;

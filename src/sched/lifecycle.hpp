@@ -3,7 +3,7 @@
 // Fork, FCFS/EASY batch and reservation scheduling differ only in *when* a
 // job starts (paper §2.1: fork vs. LoadLeveler/PBS/NQE-style queues).  The
 // rest is written once here: the descriptor check over one queued+running
-// id index, the queued and running records, the runtime and wall-time
+// id index, the queue and the running records, the runtime and wall-time
 // timers, the end/cancel/complete paths, the busy and queued-work
 // accounting, version(), summary() and snapshot(), and the publication
 // mark behind marked_snapshot().
@@ -15,6 +15,18 @@
 // arms the runtime timer, then the wall timer, then runs on_start; an end
 // cancels its timers, runs vacate() and on_end, then reruns schedule().
 //
+// The queue is indexed.  Queue order is a contiguous vector of 32-byte
+// keys holding what the decision passes and the snapshots read: the
+// QueuedJobInfo fields plus the index of the job's slot.  Everything else
+// a queued job carries (runtime, wall limit, callbacks, tag) sits once in
+// that slot, in a SlotStore, whose blocks never move a slot, which reuses
+// the lowest vacant slot first and which shrinks when its top slot is
+// vacated, so its memory tracks the queue's depth rather than its
+// high-water mark.  A scan over a deep queue reads eight keys per 256
+// bytes and a middle erase moves keys only; a slot is read when its job
+// starts and when backfill needs the runtime of a job without an
+// estimate.
+//
 // Publication is lazy.  The queue is append-at-tail and erase-anywhere, so
 // the jobs queued at a mark that are still queued stay its head, in order.
 // A mark records the queue length and the processor counts; from then on
@@ -23,15 +35,13 @@
 // mark saw it, so the head merged with the log is exactly the queue at the
 // mark, and no round pays for a copy nobody reads.  The log never holds
 // more jobs than the mark saw, so a mark left in place stays cheap.
-// Positions come from the log rather than a per-job sequence number: one
-// more field would grow `Queued` and slow every deep queue's middle
-// erases.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <deque>
+#include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -73,6 +83,63 @@ class OriginalPositions {
   std::vector<std::uint32_t> tree_;  // 1-based counts of present elements
 };
 
+/// Records of type T indexed by small integers, stored in blocks of
+/// kBlock so that growth never moves a record.  Freed indices are reused
+/// lowest first, and a vacancy at the top shrinks the store instead, so it
+/// stays about as large as its live count and, empty, holds no memory.
+template <typename T>
+class SlotStore {
+ public:
+  /// Takes a vacant index; its record is value-initialized.
+  std::uint32_t acquire() {
+    if (!free_.empty()) {
+      const std::uint32_t i = free_.back();
+      free_.pop_back();
+      return i;
+    }
+    if (size_ % kBlock == 0) blocks_.push_back(std::make_unique<T[]>(kBlock));
+    return size_++;
+  }
+
+  T& operator[](std::uint32_t i) { return blocks_[i / kBlock][i % kBlock]; }
+  const T& operator[](std::uint32_t i) const {
+    return blocks_[i / kBlock][i % kBlock];
+  }
+
+  /// Resets the record at `i` and makes `i` vacant.
+  void release(std::uint32_t i) {
+    (*this)[i] = T{};
+    if (i + 1 < size_) {
+      free_.insert(std::upper_bound(free_.begin(), free_.end(), i,
+                                    std::greater<>()),
+                   i);
+      return;
+    }
+    // Drop `i` and the run of vacancies directly below it.
+    --size_;
+    auto run = free_.begin();
+    for (; run != free_.end() && *run + 1 == size_; ++run) --size_;
+    free_.erase(free_.begin(), run);
+    blocks_.resize((size_ + kBlock - 1) / kBlock);
+    if (size_ == 0) {  // hand the empty vectors' buffers back too
+      blocks_.shrink_to_fit();
+      free_.shrink_to_fit();
+    }
+  }
+
+  /// Live plus vacant indices: every index below it is one or the other.
+  std::uint32_t size() const { return size_; }
+  /// The vacant indices below size(), highest first.
+  const std::vector<std::uint32_t>& vacant() const { return free_; }
+
+ private:
+  static constexpr std::uint32_t kBlock = 4;
+
+  std::vector<std::unique_ptr<T[]>> blocks_;
+  std::vector<std::uint32_t> free_;  // descending: back() is the lowest
+  std::uint32_t size_ = 0;
+};
+
 template <typename Tag>
 class JobLifecycle : public LocalScheduler {
  public:
@@ -94,9 +161,9 @@ class JobLifecycle : public LocalScheduler {
       return true;
     }
     const auto it = std::find_if(queue_.begin(), queue_.end(),
-                                 [id](const Queued& q) { return q.desc.id == id; });
+                                 [id](const QueueKey& k) { return k.id == id; });
     GRID_CHECK(it != queue_.end(), "job id index out of sync with the queue");
-    drop(it);
+    drop(static_cast<std::size_t>(it - queue_.begin()));
     schedule();  // removing a stuck head job may unblock others
     return true;
   }
@@ -111,7 +178,7 @@ class JobLifecycle : public LocalScheduler {
     s.total_processors = total_processors();
     s.busy_processors = busy_;
     s.queued.reserve(queue_.size());
-    for (const Queued& q : queue_) s.queued.push_back(info(q));
+    for (const QueueKey& k : queue_) s.queued.push_back(info(k));
     return s;
   }
 
@@ -141,13 +208,13 @@ class JobLifecycle : public LocalScheduler {
                 [](const auto& x, const auto& y) { return x.first < y.first; });
     }
     std::size_t pos = 0;
-    auto q = queue_.begin();
+    const QueueKey* k = queue_.data();
     for (const auto& [at, job] : gone) {
-      for (; pos < at; ++pos, ++q) s.queued.push_back(info(*q));
+      for (; pos < at; ++pos, ++k) s.queued.push_back(info(*k));
       s.queued.push_back(*job);
       ++pos;
     }
-    for (; pos < mark_.queued; ++pos, ++q) s.queued.push_back(info(*q));
+    for (; pos < mark_.queued; ++pos, ++k) s.queued.push_back(info(*k));
     return s;
   }
 
@@ -169,13 +236,16 @@ class JobLifecycle : public LocalScheduler {
   std::uint64_t version() const override { return version_; }
 
  protected:
-  struct Queued {
-    JobDescriptor desc;
-    StartFn on_start;
-    EndFn on_end;
+  /// A queued job's place in queue order: its QueuedJobInfo fields, with
+  /// the index of the slot holding the rest in what would be padding.
+  struct QueueKey {
+    JobId id = 0;
+    std::int32_t count = 0;
+    std::uint32_t slot = 0;
+    sim::Time estimated_runtime = 0;
     sim::Time submitted_at = 0;
-    Tag tag;
   };
+  static_assert(sizeof(QueueKey) == 32, "queue keys are 32 bytes");
   struct Running {
     JobDescriptor desc;
     EndFn on_end;
@@ -186,7 +256,6 @@ class JobLifecycle : public LocalScheduler {
     sim::EventId runtime_event{};
     sim::EventId wall_event{};
   };
-  using QueueIt = typename std::deque<Queued>::iterator;
 
   /// `total` bounds the descriptor check's processor count.
   JobLifecycle(sim::Engine& engine, std::int32_t total)
@@ -195,9 +264,9 @@ class JobLifecycle : public LocalScheduler {
   /// The start decision.  Runs after every end and queued cancel; may be
   /// re-entered from the start and end callbacks it triggers.
   virtual void schedule() {}
-  /// Profile updates when queued job `q` starts as `r` (set r.est_end
+  /// Profile updates when the job keyed `k` starts as `r` (set r.est_end
   /// here) and when a started job ends.
-  virtual void occupy(const Queued& /*q*/, Running& /*r*/) {}
+  virtual void occupy(const QueueKey& /*k*/, Running& /*r*/) {}
   virtual void vacate(const Running& /*r*/) {}
 
   util::Status check(const JobDescriptor& job) const {
@@ -205,27 +274,45 @@ class JobLifecycle : public LocalScheduler {
                             ids_.find(job.id) != sim::IdMap::kNotFound);
   }
 
+  /// The queued job's runtime and tag, read through its slot.
+  sim::Time runtime_of(const QueueKey& k) const {
+    return slots_[k.slot].runtime;
+  }
+  const Tag& tag_of(const QueueKey& k) const { return slots_[k.slot].tag; }
+  /// The queued job's full descriptor.
+  JobDescriptor descriptor(const QueueKey& k) const {
+    const Slot& s = slots_[k.slot];
+    return JobDescriptor{k.id, k.count, k.estimated_runtime, s.runtime,
+                         s.max_wall_time};
+  }
+
   /// Appends a checked job to the queue; the caller runs its decision.
   void enqueue(const JobDescriptor& job, StartFn on_start, EndFn on_end,
                Tag tag) {
-    queue_.push_back(Queued{job, std::move(on_start), std::move(on_end),
-                            engine_->now(), tag});
+    const std::uint32_t slot = slots_.acquire();
+    Slot& s = slots_[slot];
+    s.runtime = job.runtime;
+    s.max_wall_time = job.max_wall_time;
+    s.on_start = std::move(on_start);
+    s.on_end = std::move(on_end);
+    s.tag = tag;
+    GRID_CHECKED_ONLY(s.id = job.id;)
+    queue_.push_back(
+        QueueKey{job.id, job.count, slot, job.estimated_runtime, engine_->now()});
     ids_.insert(job.id, 1);
     queued_work_ += static_cast<std::int64_t>(job.count) * job.estimated_runtime;
     ++version_;
+    GRID_CHECK(queue_consistent(), "queue keys out of step with their slots");
   }
 
-  /// Starts the queued job at `it` now.
-  void start(QueueIt it) {
-    log_departure(it);
-    Queued q = std::move(*it);
-    queue_.erase(it);
-    queued_work_ -=
-        static_cast<std::int64_t>(q.desc.count) * q.desc.estimated_runtime;
-    Running r{.desc = q.desc, .on_end = std::move(q.on_end), .tag = q.tag};
-    occupy(q, r);
-    const JobId id = q.desc.id;
-    begin(id, running_.emplace(id, std::move(r)), q.on_start);
+  /// Starts the queued job at index `i` now.
+  void start(std::size_t i) {
+    const QueueKey k = unlink(i);
+    const JobDescriptor desc = descriptor(k);
+    Slot s = take_slot(k.slot);
+    Running r{.desc = desc, .on_end = std::move(s.on_end), .tag = s.tag};
+    occupy(k, r);
+    begin(k.id, running_.emplace(k.id, std::move(r)), s.on_start);
   }
 
   /// Starts a checked job `delay` from now without queueing it (fork's
@@ -241,18 +328,15 @@ class JobLifecycle : public LocalScheduler {
         });
   }
 
-  /// Removes the queued job at `it`, reporting it cancelled; the caller
-  /// reruns its decision.
-  void drop(QueueIt it) {
-    log_departure(it);
-    Queued q = std::move(*it);
-    queue_.erase(it);
-    ids_.erase(q.desc.id);
-    queued_work_ -=
-        static_cast<std::int64_t>(q.desc.count) * q.desc.estimated_runtime;
+  /// Removes the queued job at index `i`, reporting it cancelled; the
+  /// caller reruns its decision.
+  void drop(std::size_t i) {
+    const QueueKey k = unlink(i);
+    const Slot s = take_slot(k.slot);
+    ids_.erase(k.id);
     ++departures_;
     ++version_;
-    if (q.on_end) q.on_end(q.desc.id, EndReason::kCancelled);
+    if (s.on_end) s.on_end(k.id, EndReason::kCancelled);
   }
 
   /// Ends a started or deferred job, then reruns the start decision.
@@ -274,13 +358,22 @@ class JobLifecycle : public LocalScheduler {
   }
 
   sim::Engine* engine_;
-  std::deque<Queued> queue_;
+  std::vector<QueueKey> queue_;  // queue order
   sim::IdSlab<Running> running_;
   /// Bumped by every end and queued cancel, so a decision pass can tell
   /// that a start callback removed jobs re-entrantly.
   std::uint64_t departures_ = 0;
 
  private:
+  /// What a queued job carries beyond its key.
+  struct Slot {
+    sim::Time runtime = 0;
+    sim::Time max_wall_time = 0;
+    StartFn on_start;
+    EndFn on_end;
+    Tag tag{};
+    GRID_CHECKED_ONLY(JobId id = 0;)  // occupant (0 = vacant), for the tripwire
+  };
   /// What the mark pinned; queued 0 (no mark) logs nothing.
   struct Mark {
     std::size_t queued = 0;  // queue length at the mark
@@ -293,18 +386,48 @@ class JobLifecycle : public LocalScheduler {
     QueuedJobInfo info;
   };
 
-  static QueuedJobInfo info(const Queued& q) {
-    return QueuedJobInfo{q.desc.id, q.desc.count, q.desc.estimated_runtime,
-                         q.submitted_at};
+  static QueuedJobInfo info(const QueueKey& k) {
+    return QueuedJobInfo{k.id, k.count, k.estimated_runtime, k.submitted_at};
   }
 
-  /// Logs the queued job at `it` if it leaves the head the mark saw.
-  void log_departure(QueueIt it) {
-    const auto index = static_cast<std::size_t>(it - queue_.begin());
-    if (index < mark_.queued - departed_.size()) {
-      departed_.push_back(Departed{index, info(*it)});
+  /// Removes the key at index `i` from queue order, logging it if it
+  /// leaves the head the mark saw.  Its slot stays occupied.
+  QueueKey unlink(std::size_t i) {
+    const QueueKey k = queue_[i];
+    if (i < mark_.queued - departed_.size()) {
+      departed_.push_back(Departed{i, info(k)});
     }
+    queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(i));
+    queued_work_ -= static_cast<std::int64_t>(k.count) * k.estimated_runtime;
+    return k;
   }
+
+  /// Moves an unlinked job's slot contents out and frees the slot.
+  Slot take_slot(std::uint32_t slot) {
+    Slot s = std::move(slots_[slot]);
+    slots_.release(slot);
+    GRID_CHECK(queue_consistent(), "queue keys out of step with their slots");
+    return s;
+  }
+
+#if defined(GRID_CHECKED)
+  /// Each key's slot holds that job, the free list holds exactly the
+  /// vacant slots, and queued_work_ is the sum over the keys.  O(queue).
+  bool queue_consistent() const {
+    std::int64_t work = 0;
+    for (const QueueKey& k : queue_) {
+      if (k.slot >= slots_.size() || slots_[k.slot].id != k.id) return false;
+      work += static_cast<std::int64_t>(k.count) * k.estimated_runtime;
+    }
+    const std::vector<std::uint32_t>& vacant = slots_.vacant();
+    for (std::size_t i = 0; i < vacant.size(); ++i) {
+      if (vacant[i] >= slots_.size() || slots_[vacant[i]].id != 0) return false;
+      if (i > 0 && vacant[i] >= vacant[i - 1]) return false;  // not descending
+    }
+    return queue_.size() + vacant.size() == slots_.size() &&
+           work == queued_work_;
+  }
+#endif
 
   void begin(JobId id, Running& r, const StartFn& on_start) {
     r.started = true;
@@ -324,6 +447,7 @@ class JobLifecycle : public LocalScheduler {
 
   std::int32_t total_;
   sim::IdMap ids_;  // every queued and running job
+  SlotStore<Slot> slots_;  // indexed by QueueKey::slot
   std::int32_t busy_ = 0;
   std::int64_t queued_work_ = 0;  // sum of count*estimate over the queue
   std::uint64_t version_ = 1;     // dirty-flag counter (0 = untracked)

@@ -119,8 +119,8 @@ util::Status ReservationScheduler::submit_reserved(const JobDescriptor& job,
   // Bound jobs all start when the window opens, so together — queued and
   // running — they must fit the reserved count.
   std::int32_t bound = 0;
-  for (const Queued& q : queue_) {
-    if (q.tag == rid) bound += q.desc.count;
+  for (const QueueKey& k : queue_) {
+    if (tag_of(k) == rid) bound += k.count;
   }
   running_.for_each([&](JobId, const Running& r) {
     if (r.tag == rid) bound += r.desc.count;
@@ -148,20 +148,19 @@ void ReservationScheduler::schedule() {
     // admission time, so they start the moment their window opens — they
     // are never gated behind the best-effort FCFS head.
     for (std::size_t i = 0; i < queue_.size(); ++i) {
-      const Queued& q = queue_[i];
-      if (q.tag == 0) continue;
+      const ReservationId rid = tag_of(queue_[i]);
+      if (rid == 0) continue;
       auto it = std::find_if(
           reservations_.begin(), reservations_.end(),
-          [&](const Reservation& r) { return r.id == q.tag; });
-      const auto at = queue_.begin() + static_cast<std::ptrdiff_t>(i);
+          [rid](const Reservation& r) { return r.id == rid; });
       if (it == reservations_.end()) {
         // Reservation expired or cancelled before the job could start.
-        drop(at);
+        drop(i);
         progressed = true;
         break;
       }
       if (it->start <= now) {
-        start(at);
+        start(i);
         progressed = true;
         break;
       }
@@ -172,15 +171,15 @@ void ReservationScheduler::schedule() {
     // The peak reserved count over the job's estimated run is one range
     // query on the windows-only profile.
     for (std::size_t i = 0; i < queue_.size(); ++i) {
-      const Queued& q = queue_[i];
-      if (q.tag != 0) continue;
-      const sim::Time est = job_estimate(q.desc);
+      const QueueKey& k = queue_[i];
+      if (tag_of(k) != 0) continue;
+      const sim::Time est = job_estimate(descriptor(k));
       const sim::Time until = horizon(now, est);
       const std::int32_t reserved_peak =
           until > now ? total - res_.min_free_over(now, until)
                       : total - res_.free_at(now);
-      if (busy_best_ + q.desc.count + reserved_peak <= total) {
-        start(queue_.begin() + static_cast<std::ptrdiff_t>(i));
+      if (busy_best_ + k.count + reserved_peak <= total) {
+        start(i);
         progressed = true;
       }
       break;  // FCFS: never look past the first best-effort job
@@ -189,7 +188,7 @@ void ReservationScheduler::schedule() {
   scheduling_ = false;
 }
 
-void ReservationScheduler::occupy(const Queued& /*q*/, Running& r) {
+void ReservationScheduler::occupy(const QueueKey& /*k*/, Running& r) {
   // A best-effort job commits its estimated tail so reservation admission
   // sees it; reserved jobs are accounted by their window.
   if (r.tag != 0) return;

@@ -76,7 +76,7 @@ class ReservationScheduler final : public JobLifecycle<ReservationId> {
 
  private:
   void schedule() override;
-  void occupy(const Queued& q, Running& r) override;
+  void occupy(const QueueKey& k, Running& r) override;
   void vacate(const Running& r) override;
   /// Ends every running job bound to reservation `rid`.
   void end_bound(ReservationId rid, EndReason reason);

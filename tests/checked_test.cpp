@@ -13,6 +13,8 @@
 
 #include "net/network.hpp"
 #include "net/rpc.hpp"
+#include "sched/batch.hpp"
+#include "sched/lifecycle.hpp"
 #include "sched/profile.hpp"
 #include "simkit/bufpool.hpp"
 #include "simkit/check.hpp"
@@ -77,6 +79,41 @@ TEST(CheckedDeathTest, ProfileAbortsOnOverRelease) {
   p.reserve(0, 100, 2);
   // Returning more than was claimed would push free past capacity.
   EXPECT_DEATH(p.release(0, 100, 3), "release exceeds capacity");
+}
+
+// A policy that never starts anything and can edit its queue keys behind
+// the lifecycle's back, the way a broken start decision would.
+class KeyEditingScheduler final : public sched::JobLifecycle<int> {
+ public:
+  explicit KeyEditingScheduler(sim::Engine& e) : JobLifecycle(e, 8) {}
+  std::string policy() const override { return "key-editing"; }
+  void repoint_front(std::uint32_t slot) { queue_.front().slot = slot; }
+  void stretch_front_estimate() { queue_.front().estimated_runtime += 1; }
+};
+
+sched::JobDescriptor queued_job(sched::JobId id) {
+  sched::JobDescriptor d;
+  d.id = id;
+  d.estimated_runtime = 10;
+  return d;
+}
+
+TEST(CheckedDeathTest, QueueKeyPointingAtAnotherJobsSlotTrips) {
+  sim::Engine e;
+  KeyEditingScheduler s(e);
+  ASSERT_TRUE(s.submit(queued_job(1), {}, {}).is_ok());
+  ASSERT_TRUE(s.submit(queued_job(2), {}, {}).is_ok());
+  s.repoint_front(1);  // job 1's key now names job 2's slot
+  EXPECT_DEATH((void)s.submit(queued_job(3), {}, {}),
+               "queue keys out of step with their slots");
+}
+
+TEST(CheckedDeathTest, QueuedWorkDriftTrips) {
+  sim::Engine e;
+  KeyEditingScheduler s(e);
+  ASSERT_TRUE(s.submit(queued_job(1), {}, {}).is_ok());
+  s.stretch_front_estimate();  // queued_work_ no longer sums the keys
+  EXPECT_DEATH(s.cancel(1), "queue keys out of step with their slots");
 }
 
 TEST(CheckedDeathTest, CrossShardScheduleTrips) {
@@ -157,6 +194,29 @@ TEST(CheckedClean, CancelHeavyWorkloadPassesHeapAudit) {
   }
   e.run();
   EXPECT_EQ(fired, 200 - 67);
+}
+
+TEST(CheckedClean, QueueEditsPassKeyAudit) {
+  // Starts from the middle, cancels from the front and the back, and a
+  // drain: every edit runs the O(queue) key/slot/free-list audit.
+  sim::Engine e;
+  sched::BatchScheduler s(e, 8, sched::Backfill::kEasy);
+  sched::JobDescriptor wide = queued_job(1);
+  wide.count = 8;  // blocks the head behind it
+  wide.runtime = 100;
+  ASSERT_TRUE(s.submit(wide, {}, {}).is_ok());
+  for (sched::JobId id = 2; id <= 40; ++id) {
+    sched::JobDescriptor d = queued_job(id);
+    d.count = 1 + static_cast<std::int32_t>(id % 8);
+    d.runtime = static_cast<sim::Time>(id);
+    ASSERT_TRUE(s.submit(d, {}, {}).is_ok());
+  }
+  EXPECT_TRUE(s.cancel(2));
+  EXPECT_TRUE(s.cancel(40));
+  EXPECT_TRUE(s.cancel(20));
+  e.run();
+  EXPECT_EQ(s.queue_length(), 0u);
+  EXPECT_EQ(s.summary().queued_work, 0);
 }
 
 TEST(CheckedClean, EndpointLifecyclePassesTeardownAudit) {

@@ -11,10 +11,17 @@
 // absent), zero runtimes, wall-time kills, cancels of queued and running
 // jobs, and duplicate submissions.
 //
+// In the re-entrant mode the start callbacks call back into the scheduler
+// mid-pass: they submit bursts of new jobs (deep enough to grow the queue
+// storage while a pass walks it), cancel queued and running jobs, and
+// complete running jobs, the starting job included.
+//
 // Trials fan out over sim::TrialPool; per the pool contract the trial
 // bodies only build transcripts — all EXPECTs happen on the main thread.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -37,11 +44,13 @@ struct JobSpec {
 struct Workload {
   std::int32_t processors = 0;
   std::vector<JobSpec> jobs;
+  std::uint64_t reentry_seed = 0;  // drives the re-entrant mode's callbacks
 };
 
 Workload make_workload(std::uint64_t seed, std::size_t job_count) {
   sim::Rng rng(0x5eedfeedULL ^ seed * 0x9e3779b97f4a7c15ULL);
   Workload w;
+  w.reentry_seed = seed ^ 0x7e3e47e5ULL;
   w.processors = static_cast<std::int32_t>(32 << rng.uniform_int(0, 3));
   w.jobs.reserve(job_count);
   sim::Time clock = 0;
@@ -122,6 +131,9 @@ struct Transcript {
   std::vector<JobId> final_queue;
   std::int32_t final_busy = 0;
   bool profile_ok = true;  // BatchScheduler worlds audit their profile
+  /// Re-entrant bursts that lifted the queue past a new power-of-two
+  /// high-water mark, growing the queue storage mid-pass.
+  std::size_t growth_bursts = 0;
 };
 
 bool operator==(const BatchScheduler::WaitObservation& a,
@@ -132,37 +144,112 @@ bool operator==(const BatchScheduler::WaitObservation& a,
          a.queued_work_at_submit == b.queued_work_at_submit;
 }
 
+enum class Callbacks {
+  kRecordOnly,  // start and end callbacks only append to the transcript
+  kReentrant,   // start callbacks also submit, cancel and complete
+};
+
+/// Jobs submitted from start callbacks take ids from here up, clear of
+/// the workload's.
+constexpr JobId kNestedIdBase = 1'000'000;
+
 template <typename Sched>
-Transcript run_world(const Workload& w, Backfill mode) {
-  sim::Engine eng;
-  Sched sched(eng, w.processors, mode);
-  Transcript t;
-  for (std::size_t i = 0; i < w.jobs.size(); ++i) {
-    const JobSpec& j = w.jobs[i];
-    eng.schedule_at(j.submit_at, [&w, &sched, &eng, &t, i] {
-      const util::Status st = sched.submit(
-          w.jobs[i].desc,
-          [&t, &eng](JobId id) { t.starts.push_back(StartRec{id, eng.now()}); },
-          [&t, &eng](JobId id, EndReason r) {
-            t.ends.push_back(EndRec{id, eng.now(), static_cast<int>(r)});
-          });
-      t.accepted.push_back(st.is_ok());
-    });
-    if (j.cancel_at > 0) {
-      eng.schedule_at(j.cancel_at, [&w, &sched, &t, i] {
-        t.cancel_results.push_back(sched.cancel(w.jobs[i].desc.id));
-      });
+class World {
+ public:
+  World(const Workload& w, Backfill mode, Callbacks callbacks)
+      : w_(w), sched_(eng_, w.processors, mode), callbacks_(callbacks),
+        rng_(w.reentry_seed) {}
+
+  Transcript run() {
+    for (std::size_t i = 0; i < w_.jobs.size(); ++i) {
+      const JobSpec& j = w_.jobs[i];
+      eng_.schedule_at(j.submit_at, [this, &j] { submit(j.desc); });
+      if (j.cancel_at > 0) {
+        eng_.schedule_at(j.cancel_at, [this, &j] { cancel(j.desc.id); });
+      }
+    }
+    eng_.run();
+    t_.waits = sched_.wait_history();
+    const QueueSnapshot s = sched_.snapshot();
+    for (const QueuedJobInfo& q : s.queued) t_.final_queue.push_back(q.id);
+    t_.final_busy = sched_.busy_processors();
+    if constexpr (std::is_same_v<Sched, BatchScheduler>) {
+      t_.profile_ok = sched_.profile().invariants_ok();
+    }
+    return std::move(t_);
+  }
+
+ private:
+  void submit(const JobDescriptor& desc) {
+    const util::Status st = sched_.submit(
+        desc, [this](JobId id) { started(id); },
+        [this](JobId id, EndReason r) {
+          t_.ends.push_back(EndRec{id, eng_.now(), static_cast<int>(r)});
+        });
+    t_.accepted.push_back(st.is_ok());
+    high_water_ = std::max(high_water_, sched_.queue_length());
+  }
+
+  void cancel(JobId id) { t_.cancel_results.push_back(sched_.cancel(id)); }
+
+  void started(JobId id) {
+    t_.starts.push_back(StartRec{id, eng_.now()});
+    if (callbacks_ != Callbacks::kReentrant) return;
+    // Every draw happens in start order, so both worlds draw the same
+    // stream for as long as they agree.
+    switch (rng_.uniform_int(0, 9)) {
+      case 0:
+        if (id < kNestedIdBase) burst();  // nested jobs do not burst again
+        break;
+      case 1:
+        cancel(id + 5);  // queued, running or unknown: all must agree
+        break;
+      case 2:
+        if (next_nested_ > kNestedIdBase) cancel(next_nested_ - 1);
+        break;
+      case 3:
+        sched_.complete(id > 3 ? id - 3 : id);
+        break;
+      case 4:
+        sched_.complete(id);  // ends inside its own start callback
+        break;
+      default:
+        break;
     }
   }
-  eng.run();
-  t.waits = sched.wait_history();
-  const QueueSnapshot s = sched.snapshot();
-  for (const QueuedJobInfo& q : s.queued) t.final_queue.push_back(q.id);
-  t.final_busy = sched.busy_processors();
-  if constexpr (std::is_same_v<Sched, BatchScheduler>) {
-    t.profile_ok = sched.profile().invariants_ok();
+
+  /// Submits a burst of fresh jobs from inside a start callback.
+  void burst() {
+    // A queue grown by appends holds power-of-two capacity, so passing the
+    // next power of two above the deepest queue so far reallocates it.
+    const std::size_t capacity = std::bit_ceil(high_water_);
+    for (int n = 0; n < 48; ++n) {
+      JobDescriptor d;
+      d.id = next_nested_++;
+      d.count = static_cast<std::int32_t>(
+          rng_.uniform_int(1, std::max(2, w_.processors / 8)));
+      d.runtime = rng_.uniform_time(50, 2000);
+      if (rng_.chance(0.5)) {
+        d.estimated_runtime = d.runtime + rng_.uniform_time(0, 500);
+      }
+      submit(d);
+    }
+    if (high_water_ > capacity) ++t_.growth_bursts;
   }
-  return t;
+
+  const Workload& w_;
+  sim::Engine eng_;
+  Sched sched_;
+  Callbacks callbacks_;
+  sim::Rng rng_;
+  JobId next_nested_ = kNestedIdBase;
+  std::size_t high_water_ = 0;  // deepest queue after any submit
+  Transcript t_;
+};
+
+template <typename Sched>
+Transcript run_world(const Workload& w, Backfill mode, Callbacks callbacks) {
+  return World<Sched>(w, mode, callbacks).run();
 }
 
 struct TrialResult {
@@ -198,18 +285,25 @@ void expect_equal(const Transcript& fast, const Transcript& oracle,
 }
 
 void run_differential(Backfill mode, const char* label, std::size_t seeds,
-                      std::size_t job_count) {
+                      std::size_t job_count,
+                      Callbacks callbacks = Callbacks::kRecordOnly) {
   sim::TrialPool pool;
   const std::vector<TrialResult> results =
       pool.map<TrialResult>(seeds, [&](std::size_t seed) {
         const Workload w = make_workload(seed, job_count);
         TrialResult r;
-        r.fast = run_world<BatchScheduler>(w, mode);
-        r.oracle = run_world<ReferenceBackfill>(w, mode);
+        r.fast = run_world<BatchScheduler>(w, mode, callbacks);
+        r.oracle = run_world<ReferenceBackfill>(w, mode, callbacks);
         return r;
       });
+  std::size_t growth_bursts = 0;
   for (std::size_t seed = 0; seed < results.size(); ++seed) {
     expect_equal(results[seed].fast, results[seed].oracle, seed, label);
+    growth_bursts += results[seed].fast.growth_bursts;
+  }
+  if (callbacks == Callbacks::kReentrant) {
+    // The mode exists to grow the queue storage under a running pass.
+    EXPECT_GT(growth_bursts, 0u) << label;
   }
 }
 
@@ -219,6 +313,16 @@ TEST(SchedDiff, EasyBackfillMatchesOracleAcrossSeeds) {
 
 TEST(SchedDiff, FcfsMatchesOracleAcrossSeeds) {
   run_differential(Backfill::kNone, "fcfs", 16, 1000);
+}
+
+TEST(SchedDiff, EasyBackfillMatchesOracleWithReentrantCallbacks) {
+  run_differential(Backfill::kEasy, "easy-reentrant", 16, 1000,
+                   Callbacks::kReentrant);
+}
+
+TEST(SchedDiff, FcfsMatchesOracleWithReentrantCallbacks) {
+  run_differential(Backfill::kNone, "fcfs-reentrant", 16, 1000,
+                   Callbacks::kReentrant);
 }
 
 TEST(SchedDiff, EasyBackfillMatchesOracleOnDeepQueue) {
